@@ -36,6 +36,6 @@ mod reduction;
 
 pub use item::{item_set_clone_count, ClosureScratch, Item, ItemSet};
 pub use lr0::{Lr0Automaton, NtTransId, StateId};
-pub use lr1::{closure1, Lr1Automaton, Lr1State};
+pub use lr1::{Lr1Automaton, Lr1Closure, Lr1State};
 pub use merge::{merge_lr1, MergedLalr};
 pub use reduction::{ReductionId, ReductionIndex};

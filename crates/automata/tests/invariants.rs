@@ -1,10 +1,15 @@
 //! Structural invariants of the LR automata, checked on the corpus and on
 //! random grammars.
 
-use lalr_automata::{Lr0Automaton, Lr1Automaton, StateId};
-use lalr_corpus::synthetic::{random, RandomConfig};
-use lalr_grammar::{Grammar, ProdId, Symbol};
+use lalr_automata::{Item, Lr0Automaton, Lr1Automaton, StateId};
+use lalr_bitset::BitSet;
+use lalr_corpus::synthetic::{
+    chain, expr_ladder, nested_lists, nullable_blocks, random, wide_forest, RandomConfig,
+};
+use lalr_grammar::analysis::{nullable, FirstSets};
+use lalr_grammar::{Grammar, ProdId, Symbol, Terminal};
 use proptest::prelude::*;
+use rustc_hash::FxHashMap;
 
 fn grammars_under_test() -> Vec<(String, Grammar)> {
     lalr_corpus::all_entries()
@@ -95,15 +100,12 @@ fn lr1_cores_project_onto_lr0_states() {
 #[test]
 fn lr1_transitions_commute_with_core_projection() {
     for (name, g) in grammars_under_test() {
-        if g.production_count() > 140 {
-            continue; // keep the quadratic check cheap
-        }
         let lr0 = Lr0Automaton::build(&g);
         let lr1 = Lr1Automaton::build(&g);
+        let by_kernel: FxHashMap<_, _> = lr0.states().map(|s0| (lr0.kernel(s0), s0)).collect();
         let core_to_lr0 = |s1| {
-            let core = lr1.state(s1).core();
-            lr0.states()
-                .find(|&s0| *lr0.kernel(s0) == core)
+            *by_kernel
+                .get(&lr1.state(s1).core())
                 .expect("core exists in LR(0)")
         };
         for s1 in lr1.states() {
@@ -112,6 +114,181 @@ fn lr1_transitions_commute_with_core_projection() {
                 let t0 = lr0.transition(s0, sym).expect("projection preserves edges");
                 assert_eq!(core_to_lr0(t1), t0, "{name}: GOTO commutes");
             }
+        }
+    }
+}
+
+/// The worklist LR(1) closure `Lr1Automaton::build` used before its
+/// left-corner tables, kept as the reference they are checked against:
+/// every item `[A → α · B γ, L]` sends `FIRST(γ)` (plus `L` when
+/// `γ ⇒* ε`) to each `B`-production, and an item is queued again each
+/// time its set grows. Returns the closure sorted by item.
+fn reference_closure(
+    grammar: &Grammar,
+    first: &FirstSets,
+    kernel: &[(Item, BitSet)],
+) -> Vec<(Item, BitSet)> {
+    let mut las: FxHashMap<Item, BitSet> = FxHashMap::default();
+    let mut work: Vec<Item> = Vec::new();
+    for (item, la) in kernel {
+        las.insert(*item, la.clone());
+        work.push(*item);
+    }
+    while let Some(item) = work.pop() {
+        let Some(Symbol::NonTerminal(b)) = item.next_symbol(grammar) else {
+            continue;
+        };
+        let (mut look, gamma_nullable) = first.first_of(item.tail_after_next(grammar));
+        if gamma_nullable {
+            look.union_with(&las[&item]);
+        }
+        for &pid in grammar.productions_of(b) {
+            let fresh = Item::start_of(pid);
+            match las.get_mut(&fresh) {
+                Some(existing) => {
+                    if existing.union_with(&look) {
+                        work.push(fresh);
+                    }
+                }
+                None => {
+                    las.insert(fresh, look.clone());
+                    work.push(fresh);
+                }
+            }
+        }
+    }
+    let mut out: Vec<(Item, BitSet)> = las.into_iter().collect();
+    out.sort_unstable_by_key(|&(i, _)| i);
+    out
+}
+
+/// The canonical collection as built around [`reference_closure`]: goto
+/// kernels bucketed by next symbol in first-seen order, interned by
+/// kernel, explored from a LIFO worklist — the construction order
+/// `Lr1Automaton::build` keeps, so state numbers must agree.
+struct ReferenceLr1 {
+    kernels: Vec<Vec<(Item, BitSet)>>,
+    transitions: Vec<Vec<(Symbol, StateId)>>,
+    reductions: Vec<Vec<(ProdId, BitSet)>>,
+}
+
+fn reference_lr1(grammar: &Grammar) -> ReferenceLr1 {
+    let first = FirstSets::compute(grammar, &nullable(grammar));
+    let mut eof_only = BitSet::new(grammar.terminal_count());
+    eof_only.insert(Terminal::EOF.index());
+    let start = vec![(Item::start_of(ProdId::START), eof_only)];
+    let mut ids: FxHashMap<Vec<(Item, BitSet)>, StateId> = FxHashMap::default();
+    ids.insert(start.clone(), StateId::START);
+    let mut lr1 = ReferenceLr1 {
+        kernels: vec![start],
+        transitions: vec![Vec::new()],
+        reductions: vec![Vec::new()],
+    };
+    let mut work = vec![StateId::START];
+    while let Some(sid) = work.pop() {
+        let closed = reference_closure(grammar, &first, &lr1.kernels[sid.index()]);
+        let mut order: Vec<Symbol> = Vec::new();
+        let mut buckets: FxHashMap<Symbol, Vec<(Item, BitSet)>> = FxHashMap::default();
+        for (item, la) in closed {
+            match item.next_symbol(grammar) {
+                None => lr1.reductions[sid.index()].push((item.production(), la)),
+                Some(sym) => buckets
+                    .entry(sym)
+                    .or_insert_with(|| {
+                        order.push(sym);
+                        Vec::new()
+                    })
+                    .push((item.advanced(), la)),
+            }
+        }
+        let mut ts = Vec::new();
+        for sym in order {
+            let kernel = buckets.remove(&sym).expect("bucket exists");
+            let next = StateId::new(lr1.kernels.len());
+            let target = *ids.entry(kernel.clone()).or_insert_with(|| {
+                lr1.kernels.push(kernel);
+                lr1.transitions.push(Vec::new());
+                lr1.reductions.push(Vec::new());
+                work.push(next);
+                next
+            });
+            ts.push((sym, target));
+        }
+        ts.sort_unstable_by_key(|&(sym, _)| sym);
+        lr1.transitions[sid.index()] = ts;
+    }
+    lr1
+}
+
+fn assert_lr1_matches_reference(name: &str, g: &Grammar) {
+    let reference = reference_lr1(g);
+    let lr1 = Lr1Automaton::build(g);
+    assert_eq!(
+        lr1.state_count(),
+        reference.kernels.len(),
+        "{name}: state count"
+    );
+    for s in lr1.states() {
+        let i = s.index();
+        assert_eq!(
+            lr1.state(s).kernel(),
+            reference.kernels[i].as_slice(),
+            "{name}: kernel look-aheads of state {i}"
+        );
+        assert_eq!(
+            lr1.transitions(s),
+            reference.transitions[i].as_slice(),
+            "{name}: transitions of state {i}"
+        );
+        assert_eq!(
+            lr1.reductions(s),
+            reference.reductions[i].as_slice(),
+            "{name}: reductions of state {i}"
+        );
+    }
+}
+
+#[test]
+fn lr1_build_matches_worklist_closure_on_corpus_and_families() {
+    for (name, g) in grammars_under_test() {
+        assert_lr1_matches_reference(&name, &g);
+    }
+    let families = [
+        ("expr_ladder(1)", expr_ladder(1)),
+        ("expr_ladder(8)", expr_ladder(8)),
+        ("expr_ladder(80)", expr_ladder(80)),
+        ("chain(40)", chain(40)),
+        ("nullable_blocks(8)", nullable_blocks(8)),
+        ("nested_lists(6)", nested_lists(6)),
+        ("wide_forest(100)", wide_forest(100)),
+    ];
+    for (name, g) in &families {
+        assert_lr1_matches_reference(name, g);
+    }
+}
+
+#[test]
+fn lr1_build_matches_worklist_closure_on_random_grammars() {
+    let configs = [
+        RandomConfig::default(),
+        RandomConfig {
+            epsilon_prob: 0.4,
+            ..RandomConfig::default()
+        },
+        // More nonterminals than terminals: long left-corner chains and
+        // nullable-tail cycles, so the components are non-trivial.
+        RandomConfig {
+            nonterminals: 12,
+            terminals: 6,
+            productions: 30,
+            max_rhs: 3,
+            epsilon_prob: 0.4,
+        },
+    ];
+    for config in configs {
+        for seed in 0..50 {
+            let g = random(seed, config);
+            assert_lr1_matches_reference(&format!("random({seed}, {config:?})"), &g);
         }
     }
 }

@@ -72,33 +72,14 @@ fn lr0_lookaheads(grammar: &Grammar, lr0: &Lr0Automaton) -> LookaheadSets {
     las
 }
 
-/// Conflicts of the canonical LR(1) machine itself.
-fn lr1_conflicts(grammar: &Grammar, lr1: &Lr1Automaton) -> usize {
-    let _ = grammar;
-    let mut count = 0;
-    for state in lr1.states() {
-        let shifts: Vec<usize> = lr1
-            .transitions(state)
-            .iter()
-            .filter_map(|&(s, _)| s.terminal().map(|t| t.index()))
-            .collect();
-        let reds = lr1.reductions(state);
-        for (_, la) in reds {
-            count += shifts.iter().filter(|&&t| la.contains(t)).count();
-        }
-        for (i, (_, la1)) in reds.iter().enumerate() {
-            for (_, la2) in &reds[i + 1..] {
-                count += (la1 & la2).count();
-            }
-        }
-    }
-    count
-}
-
 /// Classifies a grammar by running all five methods.
 ///
-/// This is deliberately the expensive, exhaustive procedure (it builds the
-/// canonical LR(1) machine); Table 3 calls it once per corpus grammar.
+/// The canonical LR(1) machine is built only when the grammar has LALR(1)
+/// conflicts. Otherwise its conflict count is known to be 0 without it:
+/// every conflict of the canonical machine survives the merge of its
+/// states into their LR(0) cores, so a conflict-free LALR(1) table means a
+/// conflict-free LR(1) machine. The counts and the class are the same
+/// either way; only LALR(1)-conflicted grammars pay for the LR(1) build.
 ///
 /// # Examples
 ///
@@ -116,22 +97,23 @@ pub fn classify(grammar: &Grammar) -> MethodAdequacy {
     classify_with(grammar, &crate::Parallelism::sequential())
 }
 
-/// Like [`classify`], but when more than one thread is configured the five
-/// methods run concurrently: the canonical-LR(1) build, the LR(0)/SLR/
-/// NQLALR baselines and the DeRemer–Pennello analysis are independent, so
-/// each gets its own scoped thread. Counts and classification are
-/// identical to the sequential run.
+/// Like [`classify`], but when more than one thread is configured the
+/// remaining methods run concurrently once the DeRemer–Pennello analysis
+/// and its conflict count are in: the LR(0)/SLR/NQLALR baselines and,
+/// when needed, the canonical-LR(1) build are independent, so each gets
+/// its own scoped thread. Counts and classification are identical to the
+/// sequential run.
 pub fn classify_with(grammar: &Grammar, parallelism: &crate::Parallelism) -> MethodAdequacy {
     let lr0 = Lr0Automaton::build(grammar);
     let analysis = LalrAnalysis::compute_with(grammar, &lr0, parallelism);
     classify_from(grammar, &lr0, &analysis, parallelism)
 }
 
-/// Recorded analogue of [`classify_from`]: each of the five methods runs
-/// inside its own span (`classify.lr0`, `classify.slr`,
-/// `classify.nqlalr`, `classify.lr1`, `classify.lalr`). Under the
-/// parallel fan the method spans land on their worker threads, which
-/// per-thread span stacks keep well-nested.
+/// Recorded analogue of [`classify_from`]: each method runs inside its own
+/// span (`classify.lalr`, `classify.lr0`, `classify.slr`,
+/// `classify.nqlalr`, and `classify.lr1` when the LR(1) machine is
+/// built). Under the parallel fan the method spans land on their worker
+/// threads, which per-thread span stacks keep well-nested.
 pub fn classify_recorded(
     grammar: &Grammar,
     lr0: &Lr0Automaton,
@@ -143,11 +125,14 @@ pub fn classify_recorded(
 }
 
 /// Classifies from a prebuilt LR(0) automaton and DeRemer–Pennello
-/// analysis, running only the remaining four methods (LR(0)/SLR/NQLALR
-/// baselines and the canonical-LR(1) build). This is what `lalr-service`
-/// uses so a cached compile never recomputes the automaton or the
-/// look-ahead sets; [`classify_with`] is now a thin wrapper over it and
-/// the counts are identical either way.
+/// analysis, running only the remaining methods: it counts the LALR(1)
+/// conflicts of `analysis`, then always runs the LR(0)/SLR/NQLALR
+/// baselines, and builds the canonical LR(1) machine only when that
+/// LALR(1) count is non-zero — with no LALR(1) conflict there is no LR(1)
+/// conflict either (see [`classify`]), so `lr1_conflicts` is 0 exactly.
+/// This is what `lalr-service` uses so a compile never recomputes the
+/// automaton or the look-ahead sets; [`classify_with`] is a thin wrapper
+/// over it and the counts are identical either way.
 pub fn classify_from(
     grammar: &Grammar,
     lr0: &Lr0Automaton,
@@ -164,65 +149,49 @@ fn classify_inner(
     parallelism: &crate::Parallelism,
     rec: &dyn lalr_obs::Recorder,
 ) -> MethodAdequacy {
-    let (lr0_c, slr_c, nq_c, lr1_c);
-    if parallelism.is_parallel() {
-        (lr0_c, slr_c, nq_c, lr1_c) = std::thread::scope(|scope| {
-            let lr1_h = scope.spawn(move || {
-                let _span = lalr_obs::span(rec, "classify.lr1");
-                let lr1 = Lr1Automaton::build(grammar);
-                lr1_conflicts(grammar, &lr1)
-            });
-            let lr0_h = scope.spawn(move || {
-                let _span = lalr_obs::span(rec, "classify.lr0");
-                find_conflicts(grammar, lr0, &lr0_lookaheads(grammar, lr0)).len()
-            });
-            let slr_h = scope.spawn(move || {
-                let _span = lalr_obs::span(rec, "classify.slr");
-                find_conflicts(grammar, lr0, &slr_lookaheads(grammar, lr0)).len()
-            });
-            let nq_c = {
-                let _span = lalr_obs::span(rec, "classify.nqlalr");
-                find_conflicts(
-                    grammar,
-                    lr0,
-                    NqlalrAnalysis::compute(grammar, lr0).lookaheads(),
-                )
-                .len()
-            };
+    let lalr_c = {
+        let _span = lalr_obs::span(rec, "classify.lalr");
+        analysis.conflicts(grammar, lr0).len()
+    };
+    // LALR(1)-adequate means LR(1)-adequate: build the canonical machine
+    // only when its conflict count is not already known to be 0.
+    let needs_lr1 = lalr_c > 0;
+    let lr1 = move || {
+        let _span = lalr_obs::span(rec, "classify.lr1");
+        Lr1Automaton::build(grammar).conflict_count()
+    };
+    let lr0_m = move || {
+        let _span = lalr_obs::span(rec, "classify.lr0");
+        find_conflicts(grammar, lr0, &lr0_lookaheads(grammar, lr0)).len()
+    };
+    let slr = move || {
+        let _span = lalr_obs::span(rec, "classify.slr");
+        find_conflicts(grammar, lr0, &slr_lookaheads(grammar, lr0)).len()
+    };
+    let nqlalr = move || {
+        let _span = lalr_obs::span(rec, "classify.nqlalr");
+        find_conflicts(
+            grammar,
+            lr0,
+            NqlalrAnalysis::compute(grammar, lr0).lookaheads(),
+        )
+        .len()
+    };
+    let (lr0_c, slr_c, nq_c, lr1_c) = if parallelism.is_parallel() {
+        std::thread::scope(|scope| {
+            let lr1_h = needs_lr1.then(|| scope.spawn(lr1));
+            let lr0_h = scope.spawn(lr0_m);
+            let slr_h = scope.spawn(slr);
+            let nq_c = nqlalr();
             (
                 lr0_h.join().expect("lr0 baseline panicked"),
                 slr_h.join().expect("slr baseline panicked"),
                 nq_c,
-                lr1_h.join().expect("lr1 build panicked"),
+                lr1_h.map_or(0, |h| h.join().expect("lr1 build panicked")),
             )
-        });
+        })
     } else {
-        lr1_c = {
-            let _span = lalr_obs::span(rec, "classify.lr1");
-            let lr1 = Lr1Automaton::build(grammar);
-            lr1_conflicts(grammar, &lr1)
-        };
-        lr0_c = {
-            let _span = lalr_obs::span(rec, "classify.lr0");
-            find_conflicts(grammar, lr0, &lr0_lookaheads(grammar, lr0)).len()
-        };
-        slr_c = {
-            let _span = lalr_obs::span(rec, "classify.slr");
-            find_conflicts(grammar, lr0, &slr_lookaheads(grammar, lr0)).len()
-        };
-        nq_c = {
-            let _span = lalr_obs::span(rec, "classify.nqlalr");
-            find_conflicts(
-                grammar,
-                lr0,
-                NqlalrAnalysis::compute(grammar, lr0).lookaheads(),
-            )
-            .len()
-        };
-    }
-    let lalr_c = {
-        let _span = lalr_obs::span(rec, "classify.lalr");
-        analysis.conflicts(grammar, lr0).len()
+        (lr0_m(), slr(), nqlalr(), if needs_lr1 { lr1() } else { 0 })
     };
 
     let class = if lr0_c == 0 {
@@ -303,12 +272,16 @@ mod tests {
             "s : l \"=\" r | r ; l : \"*\" r | \"id\" ; r : l ;",
             "e : e \"+\" e | \"x\" ;",
         ] {
-            let m = classify(&parse_grammar(src).unwrap());
+            let g = parse_grammar(src).unwrap();
+            let m = classify(&g);
             assert!(m.slr_conflicts <= m.lr0_conflicts, "{src}");
             assert!(m.lalr_conflicts <= m.slr_conflicts, "{src}");
             // LR(1) splits states, so conflict *counts* may grow; what is
-            // monotone is adequacy (conflict-freedom).
-            assert!(m.lalr_conflicts > 0 || m.lr1_conflicts == 0, "{src}");
+            // monotone is adequacy (conflict-freedom). Checked against the
+            // canonical machine, which `classify` skips when LALR is clean.
+            let lr1 = Lr1Automaton::build(&g).conflict_count();
+            assert!(m.lalr_conflicts > 0 || lr1 == 0, "{src}");
+            assert_eq!(m.lr1_conflicts, lr1, "{src}");
             assert!(m.nqlalr_conflicts >= m.lalr_conflicts, "{src}");
         }
     }

@@ -11,9 +11,8 @@
 //! per kernel item and iterates, which is exactly the inefficiency the
 //! paper removes — this module is the timing baseline of experiment **E2**.
 
-use lalr_automata::{closure1, Item, Lr0Automaton, StateId};
+use lalr_automata::{Item, Lr0Automaton, Lr1Closure, StateId};
 use lalr_bitset::BitSet;
-use lalr_grammar::analysis::{nullable, FirstSets};
 use lalr_grammar::{Grammar, ProdId, Terminal};
 use rustc_hash::FxHashMap;
 
@@ -51,12 +50,11 @@ pub fn propagation_recorded(
     lr0: &Lr0Automaton,
     rec: &dyn lalr_obs::Recorder,
 ) -> LookaheadSets {
-    let nullable_set = nullable(grammar);
-    let first = FirstSets::compute(grammar, &nullable_set);
     // The dummy "#" terminal gets one extra column past the real alphabet.
     let n_real = grammar.terminal_count();
     let n_cols = n_real + 1;
     let dummy = n_real;
+    let mut closure = Lr1Closure::new(grammar, n_cols);
 
     // Enumerate kernel items: (state, item) → dense index.
     let closure_span = lalr_obs::span(rec, "prop.closure");
@@ -80,13 +78,14 @@ pub fn propagation_recorded(
 
     // Discover spontaneous look-aheads and propagation links by closing
     // each kernel item with the dummy look-ahead.
+    let mut seed = BitSet::new(n_cols);
+    seed.insert(dummy);
+    let mut single = [(Item::start_of(ProdId::START), seed)];
     for (k, &(state, item)) in kernels.iter().enumerate() {
-        let mut seed = BitSet::new(n_cols);
-        seed.insert(dummy);
-        let closed = closure1(grammar, &first, &[(item, seed)], n_cols);
-        for (cit, cla) in &closed {
+        single[0].0 = item;
+        closure.close(&single, |cit, cla| {
             let Some(sym) = cit.next_symbol(grammar) else {
-                continue;
+                return;
             };
             let target = lr0
                 .transition(state, sym)
@@ -99,7 +98,7 @@ pub fn propagation_recorded(
                     la[tk].insert(col);
                 }
             }
-        }
+        });
     }
 
     if rec.is_enabled() {
@@ -160,8 +159,7 @@ pub fn propagation_recorded(
                 (item, set)
             })
             .collect();
-        let closed = closure1(grammar, &first, &kernel_with_la, n_cols);
-        for (cit, cla) in &closed {
+        closure.close(&kernel_with_la, |cit, cla| {
             if cit.is_final(grammar) {
                 let mut real = BitSet::new(n_real);
                 for col in cla.iter() {
@@ -171,7 +169,7 @@ pub fn propagation_recorded(
                 }
                 out.union_into(state, cit.production(), &real);
             }
-        }
+        });
     }
     // Reductions never reached with any look-ahead still need an entry.
     for state in lr0.states() {

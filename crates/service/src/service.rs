@@ -654,15 +654,39 @@ impl Response {
 /// on a channel ([`Service::call`]), an event loop registers a callback
 /// that runs on the worker thread ([`Service::submit`]).
 enum Reply {
-    Sync(mpsc::Sender<Response>),
+    Sync(SyncReply),
     Callback(Box<dyn FnOnce(Response) + Send>),
+}
+
+/// The sending half of a [`Service::call`]: the reply channel and the
+/// caller to wake. The caller polls the channel and parks between polls
+/// rather than blocking in `recv`, because a blocking receive allocates a
+/// waker entry whenever the reply is not there yet — a call's allocation
+/// count would then depend on thread timing, and the allocation tests
+/// (`trace_overhead.rs`) compare it exactly.
+struct SyncReply {
+    tx: Option<mpsc::Sender<Response>>,
+    caller: std::thread::Thread,
+}
+
+impl Drop for SyncReply {
+    /// Sent, or never coming because the job was dropped: either way the
+    /// caller wakes to look.
+    fn drop(&mut self) {
+        drop(self.tx.take());
+        self.caller.unpark();
+    }
 }
 
 impl Reply {
     fn deliver(self, response: Response) {
         match self {
             // A dropped receiver (caller gave up) is not an error.
-            Reply::Sync(tx) => drop(tx.send(response)),
+            Reply::Sync(mut reply) => {
+                if let Some(tx) = reply.tx.take() {
+                    drop(tx.send(response));
+                }
+            }
             Reply::Callback(f) => f(response),
         }
     }
@@ -840,13 +864,11 @@ impl Service {
         let op = request.op();
         let trace = self.begin_trace(op, 0);
         let (reply_tx, reply_rx) = mpsc::channel();
-        if let Err(e) = self.enqueue(
-            request,
-            deadline,
-            accepted_at,
-            Reply::Sync(reply_tx),
-            trace.clone(),
-        ) {
+        let reply = Reply::Sync(SyncReply {
+            tx: Some(reply_tx),
+            caller: std::thread::current(),
+        });
+        if let Err(e) = self.enqueue(request, deadline, accepted_at, reply, trace.clone()) {
             // Failed requests are observations too: a shed, rejected, or
             // orphaned call still lands in the histogram and error
             // counters.
@@ -858,7 +880,13 @@ impl Service {
             }
             return response;
         }
-        let response = reply_rx.recv().unwrap_or_else(|_| {
+        let received = loop {
+            match reply_rx.try_recv() {
+                Err(mpsc::TryRecvError::Empty) => std::thread::park(),
+                received => break received,
+            }
+        };
+        let response = received.unwrap_or_else(|_| {
             let response = Response::Error(ServiceError::Unavailable(
                 "worker terminated before replying".to_string(),
             ));

@@ -4,7 +4,10 @@
 //! about (merging look-aheads by GOTO target invents conflicts that true
 //! LALR(1) does not have).
 
+use lalr_automata::Lr1Automaton;
 use lalr_core::{classify, GrammarClass, MethodAdequacy};
+use lalr_corpus::synthetic::{random, RandomConfig};
+use lalr_grammar::Grammar;
 
 fn adequacy(name: &str) -> MethodAdequacy {
     let entry = lalr_corpus::by_name(name).unwrap_or_else(|| panic!("corpus has {name}"));
@@ -73,39 +76,76 @@ fn nqlalr_is_unsound_where_lalr_is_adequate() {
     );
 }
 
+/// The strongest class whose method has no conflicts, from one row of
+/// counts.
+fn class_from_counts(lr0: usize, slr: usize, lalr: usize, lr1: usize) -> GrammarClass {
+    [
+        (lr0, GrammarClass::Lr0),
+        (slr, GrammarClass::Slr1),
+        (lalr, GrammarClass::Lalr1),
+        (lr1, GrammarClass::Lr1),
+    ]
+    .into_iter()
+    .find(|&(conflicts, _)| conflicts == 0)
+    .map_or(GrammarClass::NotLr1, |(_, class)| class)
+}
+
+#[track_caller]
+fn assert_hierarchy(name: &str, grammar: &Grammar) {
+    let m = classify(grammar);
+    assert!(
+        m.slr_conflicts <= m.lr0_conflicts,
+        "{name}: SLR ({}) must not exceed LR(0) ({})",
+        m.slr_conflicts,
+        m.lr0_conflicts
+    );
+    assert!(
+        m.lalr_conflicts <= m.slr_conflicts,
+        "{name}: LALR ({}) must not exceed SLR ({})",
+        m.lalr_conflicts,
+        m.slr_conflicts
+    );
+    assert!(
+        m.nqlalr_conflicts >= m.lalr_conflicts,
+        "{name}: NQLALR ({}) must not beat LALR ({})",
+        m.nqlalr_conflicts,
+        m.lalr_conflicts
+    );
+    // `classify` skips the canonical LR(1) build on LALR-adequate
+    // grammars, so the LR(1) side comes from the machine itself.
+    let lr1 = Lr1Automaton::build(grammar).conflict_count();
+    assert!(
+        m.lalr_conflicts > 0 || lr1 == 0,
+        "{name}: LALR-adequate implies LR(1)-adequate (canonical LR(1) has {lr1})"
+    );
+    assert_eq!(m.lr1_conflicts, lr1, "{name}: classify's LR(1) count");
+    assert_eq!(
+        m.class,
+        class_from_counts(m.lr0_conflicts, m.slr_conflicts, m.lalr_conflicts, lr1),
+        "{name}: class"
+    );
+}
+
 #[test]
 fn conflict_counts_are_monotone_down_the_hierarchy() {
-    // Across the *entire* corpus: a strictly stronger method never has
-    // more conflicts (LR(1) is compared on adequacy, not raw counts,
-    // because state splitting can multiply conflict sites).
+    // Across the *entire* corpus and on random grammars with and without
+    // heavy ε use: a strictly stronger method never has more conflicts
+    // (LR(1) is compared on adequacy, not raw counts, because state
+    // splitting can multiply conflict sites).
     for entry in lalr_corpus::all_entries() {
-        let m = classify(&entry.grammar());
-        assert!(
-            m.slr_conflicts <= m.lr0_conflicts,
-            "{}: SLR ({}) must not exceed LR(0) ({})",
-            entry.name,
-            m.slr_conflicts,
-            m.lr0_conflicts
-        );
-        assert!(
-            m.lalr_conflicts <= m.slr_conflicts,
-            "{}: LALR ({}) must not exceed SLR ({})",
-            entry.name,
-            m.lalr_conflicts,
-            m.slr_conflicts
-        );
-        assert!(
-            m.nqlalr_conflicts >= m.lalr_conflicts,
-            "{}: NQLALR ({}) must not beat LALR ({})",
-            entry.name,
-            m.nqlalr_conflicts,
-            m.lalr_conflicts
-        );
-        assert!(
-            m.lalr_conflicts > 0 || m.lr1_conflicts == 0,
-            "{}: LALR-adequate implies LR(1)-adequate",
-            entry.name
-        );
+        assert_hierarchy(entry.name, &entry.grammar());
+    }
+    let epsilon_heavy = RandomConfig {
+        epsilon_prob: 0.4,
+        ..RandomConfig::default()
+    };
+    for config in [RandomConfig::default(), epsilon_heavy] {
+        for seed in 0..100 {
+            assert_hierarchy(
+                &format!("random({seed}, {config:?})"),
+                &random(seed, config),
+            );
+        }
     }
 }
 

@@ -72,11 +72,16 @@ proptest! {
 
     #[test]
     fn random_grammar_lookahead_methods_agree(seed in 0u64..120) {
+        // DeRemer–Pennello against both baselines, one of them the
+        // definition of LALR(1): canonical LR(1) merged by core.
+        use lalr::automata::merge_lr1;
         use lalr::core::propagation_lookaheads;
         let grammar = random(seed, RandomConfig { epsilon_prob: 0.3, ..RandomConfig::default() });
         let lr0 = Lr0Automaton::build(&grammar);
         let dp = LalrAnalysis::compute(&grammar, &lr0).into_lookaheads();
         let prop_la = propagation_lookaheads(&grammar, &lr0);
-        prop_assert_eq!(dp, prop_la);
+        let merged = merge_lr1(&grammar, &Lr1Automaton::build(&grammar), &lr0);
+        prop_assert_eq!(&dp, &prop_la, "DP vs yacc propagation");
+        prop_assert_eq!(&dp, &LookaheadSets::from(&merged), "DP vs LR(1)-then-merge");
     }
 }
