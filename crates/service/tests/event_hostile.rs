@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 use lalr_service::client::{self, ClientReply};
 use lalr_service::protocol::request_to_line;
 use lalr_service::{
-    call_with_retry, DaemonConfig, EventDaemon, Fault, FaultPlan, GrammarFormat, Request,
-    RetryPolicy, ServiceConfig, Trigger,
+    call_with_retry, DaemonConfig, EventDaemon, Fault, FaultPlan, GrammarFormat, ParseTarget,
+    Request, RetryPolicy, ServiceConfig, Trigger,
 };
 
 use serde_json::Value;
@@ -414,4 +414,79 @@ fn injected_shard_panic_restarts_the_shard_and_the_retry_converges() {
     daemon.stop();
     let summary = daemon.join();
     assert_eq!(summary.restarts, 1, "{summary:?}");
+}
+
+#[test]
+fn documents_as_deep_as_the_size_limit_allows_are_answered() {
+    if !lalr_net::supported() {
+        return;
+    }
+    // Each document's tree is as deep as the document is long: a
+    // right-recursive list nests one level per `a` (~127k levels), a
+    // left-recursive sum one per `+ x` (~63k). Rendering, counting and
+    // dropping such a tree must not take native stack per level — one
+    // of these documents would otherwise overflow a worker's stack and
+    // abort the whole daemon.
+    let limit = ServiceConfig::default().max_document_bytes;
+    let right = vec!["a"; 127_000].join(" ");
+    let left = format!("x{}", " + x".repeat(63_000));
+    let cases = [
+        ("s : \"a\" s | ;", right, 127_000u64),
+        ("e : e \"+\" \"x\" | \"x\" ;", left, 126_001),
+    ];
+    let daemon = EventDaemon::start(
+        DaemonConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..DaemonConfig::default()
+        },
+        1,
+    )
+    .unwrap();
+    let addr = daemon.addr().to_string();
+
+    for (grammar, document, tokens) in &cases {
+        assert!(document.len() < limit, "{} bytes", document.len());
+        assert!(
+            document.len() > limit - (16 << 10),
+            "{} bytes",
+            document.len()
+        );
+        for recover in [false, true] {
+            let request = Request::Parse {
+                target: ParseTarget::Text {
+                    grammar: grammar.to_string(),
+                    format: GrammarFormat::Native,
+                },
+                documents: vec![document.clone()],
+                recover,
+                sync: Vec::new(),
+            };
+            let reply = call(&addr, &request);
+            assert!(reply.is_ok(), "{grammar} recover={recover}: not ok");
+            let docs = reply
+                .value
+                .get("docs")
+                .and_then(Value::as_arr)
+                .expect("a parse reply carries docs");
+            assert_eq!(docs.len(), 1);
+            let doc = &docs[0];
+            assert_eq!(
+                doc.get("accepted").and_then(Value::as_bool),
+                Some(true),
+                "{grammar} recover={recover}"
+            );
+            assert_eq!(
+                doc.get("leaves").and_then(Value::as_u64),
+                Some(*tokens),
+                "{grammar} recover={recover}"
+            );
+        }
+    }
+
+    // A fresh connection still gets answers: no worker died.
+    let stats = call(&addr, &Request::Stats);
+    assert!(stats.is_ok(), "{}", stats.raw);
+    daemon.stop();
+    let summary = daemon.join();
+    assert_eq!(summary.aborted, 0, "{summary:?}");
 }

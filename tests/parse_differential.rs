@@ -19,7 +19,7 @@
 use lalr::corpus::sentences::{generate_many, mutate_many};
 use lalr::grammar::Terminal;
 use lalr::prelude::*;
-use lalr::runtime::CompressedSource;
+use lalr::runtime::{CompressedSource, ParseTree};
 use lalr_service::{
     DocVerdict, GrammarFormat, ParseTarget, Request, Response, Service, ServiceConfig,
 };
@@ -56,6 +56,29 @@ fn doc_for(sentence: &[Terminal], grammar: &Grammar) -> String {
         .map(|&t| grammar.terminal_name(t))
         .collect::<Vec<_>>()
         .join(" ")
+}
+
+/// The recursive renderer `ParseTree::to_sexpr` used to be, which
+/// rebuilds every subtree's text at each ancestor: the byte-identity
+/// reference for the one-pass renderer.
+fn reference_sexpr(tree: &ParseTree, table: &ParseTable) -> String {
+    match tree {
+        ParseTree::Leaf(t) => t.text().to_string(),
+        ParseTree::Node {
+            nonterminal,
+            children,
+            ..
+        } => {
+            let name = table.nonterminal_name(*nonterminal);
+            if children.is_empty() {
+                format!("({name})")
+            } else {
+                let inner: Vec<String> =
+                    children.iter().map(|c| reference_sexpr(c, table)).collect();
+                format!("({} {})", name, inner.join(" "))
+            }
+        }
+    }
 }
 
 /// One batched parse call; panics on a non-parse response.
@@ -247,4 +270,70 @@ fn fingerprint_target_replays_the_batch_from_the_cache() {
         "exactly one artifact resolution per batch"
     );
     assert_eq!(stats.parse.documents, 2 * by_text.docs.len() as u64);
+}
+
+#[test]
+fn rendering_matches_the_recursive_reference_on_short_and_long_sentences() {
+    let service = Service::new(ServiceConfig::default());
+    let (mut accepted, mut longest) = (0usize, 0usize);
+    for entry in lalr::corpus::all_entries() {
+        let grammar = entry.grammar();
+        let Some(table) = conflict_free_table(&grammar) else {
+            continue;
+        };
+        let compressed = CompressedTable::from_dense(&table);
+        let source = CompressedSource::new(&compressed, &table);
+        for budget in [30, 1_500] {
+            let mut documents = generate_many(&grammar, 0x5E4D, 16, budget);
+            let mutants = mutate_many(&grammar, &documents, 0xBAD5EED, 16);
+            documents.extend(mutants.into_iter().map(|(_, m)| m));
+            let docs: Vec<String> = documents.iter().map(|s| doc_for(s, &grammar)).collect();
+            let verdicts = call_parse(&service, entry.source, &docs);
+            for (sentence, verdict) in documents.iter().zip(&verdicts) {
+                check_document(entry.name, &grammar, &table, &source, sentence, verdict);
+                let Ok(tree) = Parser::new(&table).parse(tokens_for(sentence, &grammar)) else {
+                    continue;
+                };
+                let reference = reference_sexpr(&tree, &table);
+                assert_eq!(tree.to_sexpr(&table), reference, "{}", entry.name);
+                assert_eq!(verdict.tree.as_deref(), Some(reference.as_str()));
+                accepted += 1;
+                longest = longest.max(sentence.len());
+            }
+        }
+    }
+    assert!(accepted >= 200, "too few accepted documents: {accepted}");
+    assert!(
+        longest > 1_000,
+        "budget 1500 yields long documents: {longest}"
+    );
+}
+
+#[test]
+fn recovered_trees_render_like_the_recursive_reference() {
+    // yacc's statement-level pattern. After `error` is shifted only `;`
+    // or the end of input is actionable, so recovery always resumes by
+    // consuming input and terminates on every mutant.
+    let src = "stmts : stmt | stmts \";\" stmt ; stmt : ID \"=\" NUM | error ;";
+    let grammar = parse_grammar(src).expect("valid grammar");
+    let table = conflict_free_table(&grammar).expect("conflict-free");
+    let error = table.terminal_by_name("error").expect("declared");
+    let mut recovered = 0usize;
+    for budget in [30, 200] {
+        let sentences = generate_many(&grammar, 0xE770, 40, budget);
+        for (_, mutant) in mutate_many(&grammar, &sentences, 0xBAD5EED, 200) {
+            let toks = tokens_for(&mutant, &grammar);
+            let (tree, _) = Parser::new(&table).parse_with_error_token(toks, error, 8);
+            let Some(tree) = tree else { continue };
+            let sexpr = tree.to_sexpr(&table);
+            assert_eq!(sexpr, reference_sexpr(&tree, &table));
+            if sexpr.contains("<error>") {
+                recovered += 1;
+            }
+        }
+    }
+    assert!(
+        recovered >= 300,
+        "too few trees with <error> leaves: {recovered}"
+    );
 }
