@@ -71,15 +71,15 @@ pub const USAGE: &str = "usage: lalrgen <command> <grammar> [args] [--threads N]
          grammar -> LA pipeline; --trace-out writes a Chrome trace (chrome://tracing)
   serve  [--addr A] [--cache-mb N] [--max-conn N] [--deadline-ms N] [--max-pending N]
          [--drain-ms N] [--chaos SPEC] [--chaos-seed N] [--store DIR] [--no-store]
-         [--shards N] [--threaded] [--trace-sample N] [--trace-capacity N]
+         [--shards N] [--trace-sample N] [--trace-capacity N]
          [--max-conn-per-peer N] [--rate-limit N] [--rate-burst N]
          [--write-budget-ms N] [--reject-timeout-ms N]
          run the compile daemon
          --chaos arms deterministic failpoints, e.g. \"daemon.write:partial:0.05\"
          --store persists compiled artifacts to DIR (mmap-loaded on repeat
          requests, surviving restarts); --no-store wins over --store
-         --shards N multiplexes connections over N epoll event-loop shards;
-         --threaded selects the thread-per-connection reference front end
+         --shards N multiplexes connections over N epoll event-loop shards
+         (the daemon needs the epoll backend: x86-64 Linux)
          --trace-sample N records every Nth request in the flight recorder
          (default 1 = all; 0 disables tracing entirely); --trace-capacity N
          sizes the recorder ring (default 256, rounded up to a power of two)
@@ -729,7 +729,7 @@ fn grammar_text(arg: &str) -> Result<(String, lalr_service::GrammarFormat), CliE
 fn cmd_serve(args: &[String], par: &Parallelism) -> Result<String, CliError> {
     const FLAGS: &str = "--addr, --cache-mb, --max-conn, --deadline-ms, --max-pending, \
                          --drain-ms, --chaos, --chaos-seed, --store, --no-store, \
-                         --shards, --threaded, --trace-sample, --trace-capacity, \
+                         --shards, --trace-sample, --trace-capacity, \
                          --max-conn-per-peer, --rate-limit, --rate-burst, \
                          --write-budget-ms, --reject-timeout-ms, --threads";
     let mut config = lalr_service::DaemonConfig {
@@ -743,7 +743,6 @@ fn cmd_serve(args: &[String], par: &Parallelism) -> Result<String, CliError> {
     let mut store_dir: Option<std::path::PathBuf> = None;
     let mut no_store = false;
     let mut shards: usize = 1;
-    let mut threaded = false;
     let mut trace_sample: u64 = 1;
     let mut trace_capacity: usize = 256;
     let mut i = 0;
@@ -752,11 +751,6 @@ fn cmd_serve(args: &[String], par: &Parallelism) -> Result<String, CliError> {
             // Boolean flags consume one argument, not two.
             "--no-store" => {
                 no_store = true;
-                i += 1;
-                continue;
-            }
-            "--threaded" => {
-                threaded = true;
                 i += 1;
                 continue;
             }
@@ -855,27 +849,20 @@ fn cmd_serve(args: &[String], par: &Parallelism) -> Result<String, CliError> {
     config.service.store_dir = if no_store { None } else { store_dir };
     // The served daemon arms the flight recorder by default (the
     // library default stays off); `--trace-sample 0` turns it off.
-    config.service.tracing = (trace_sample > 0).then(|| lalr_service::TraceConfig {
+    config.service.tracing = (trace_sample > 0).then_some(lalr_service::TraceConfig {
         capacity: trace_capacity,
         sample_every: trace_sample,
     });
 
-    // The epoll front end is the default where the backend exists;
-    // `--threaded` selects the thread-per-connection reference.
     // Scripts (and the bin tests) parse the first stderr line as
     // exactly `serving on ADDR`; the front-end detail goes on its own.
-    let summary = if threaded || !lalr_net::supported() {
-        let daemon = lalr_service::Daemon::start(config).map_err(|e| fail(format!("bind: {e}")))?;
-        eprintln!("serving on {}", daemon.addr());
-        eprintln!("front end: thread-per-connection");
-        daemon.join()
-    } else {
-        let daemon = lalr_service::EventDaemon::start(config, shards)
-            .map_err(|e| fail(format!("bind: {e}")))?;
-        eprintln!("serving on {}", daemon.addr());
-        eprintln!("front end: {shards} event-loop shard(s)");
-        daemon.join()
-    };
+    let daemon = lalr_service::EventDaemon::start(config, shards).map_err(|e| match e.kind() {
+        std::io::ErrorKind::Unsupported => fail(format!("serve: {e}")),
+        _ => fail(format!("bind: {e}")),
+    })?;
+    eprintln!("serving on {}", daemon.addr());
+    eprintln!("front end: {shards} event-loop shard(s)");
+    let summary = daemon.join();
     let mut out = format!(
         "served {} connection(s), {} request(s)\ndrained {} connection(s) at shutdown, aborted {}\n",
         summary.connections, summary.requests, summary.drained, summary.aborted
@@ -1470,9 +1457,20 @@ mod tests {
         let err = run_strs(&["serve", "--wat"]).unwrap_err();
         assert!(err.message.contains("available: --addr"), "{}", err.message);
         // The persistence and front-end flags are advertised too.
-        for flag in ["--store", "--no-store", "--shards", "--threaded"] {
+        for flag in ["--store", "--no-store", "--shards"] {
             assert!(err.message.contains(flag), "{flag}: {}", err.message);
         }
+        // `serve` has one front end, so a front-end selector is an
+        // unknown flag.
+        let removed = concat!("--", "threaded");
+        let err = run_strs(&["serve", removed]).unwrap_err();
+        assert!(
+            err.message
+                .starts_with(&format!("unknown flag {removed:?} for serve")),
+            "{}",
+            err.message
+        );
+        assert_eq!(err.message.matches(removed).count(), 1, "{}", err.message);
         let err = run_strs(&["client", "compile", "expr", "--wat"]).unwrap_err();
         assert!(err.message.contains("available: --addr"), "{}", err.message);
         let err = run_strs(&["store", "ls", "--wat"]).unwrap_err();
@@ -1727,11 +1725,14 @@ mod tests {
 
     #[test]
     fn stats_metrics_prints_the_daemon_exposition() {
+        if !lalr_net::supported() {
+            return;
+        }
         let config = lalr_service::DaemonConfig {
             addr: "127.0.0.1:0".to_string(),
             ..lalr_service::DaemonConfig::default()
         };
-        let daemon = lalr_service::Daemon::start(config).expect("bind loopback");
+        let daemon = lalr_service::EventDaemon::start(config, 1).expect("bind loopback");
         let addr = daemon.addr().to_string();
 
         let out = run_strs(&["client", "compile", "expr", "--addr", &addr]).unwrap();
@@ -1758,12 +1759,15 @@ mod tests {
 
     #[test]
     fn trace_and_top_render_daemon_telemetry() {
+        if !lalr_net::supported() {
+            return;
+        }
         let mut config = lalr_service::DaemonConfig {
             addr: "127.0.0.1:0".to_string(),
             ..lalr_service::DaemonConfig::default()
         };
         config.service.tracing = Some(lalr_service::TraceConfig::default());
-        let daemon = lalr_service::Daemon::start(config).expect("bind loopback");
+        let daemon = lalr_service::EventDaemon::start(config, 1).expect("bind loopback");
         let addr = daemon.addr().to_string();
         run_strs(&["client", "compile", "expr", "--addr", &addr]).unwrap();
 
@@ -1814,13 +1818,16 @@ mod tests {
 
     #[test]
     fn health_op_reports_state_and_quotas() {
+        if !lalr_net::supported() {
+            return;
+        }
         let config = lalr_service::DaemonConfig {
             addr: "127.0.0.1:0".to_string(),
             max_connections_per_peer: 7,
             rate_limit_per_sec: 100,
             ..lalr_service::DaemonConfig::default()
         };
-        let daemon = lalr_service::Daemon::start(config).expect("bind loopback");
+        let daemon = lalr_service::EventDaemon::start(config, 1).expect("bind loopback");
         let addr = daemon.addr().to_string();
 
         let out = run_strs(&["client", "health", "--addr", &addr]).unwrap();
@@ -1841,12 +1848,18 @@ mod tests {
 
     #[test]
     fn trace_reports_disabled_recorder() {
+        if !lalr_net::supported() {
+            return;
+        }
         // Library-default daemon: no tracing config, so the op answers
         // with enabled=false and the CLI says how to arm it.
-        let daemon = lalr_service::Daemon::start(lalr_service::DaemonConfig {
-            addr: "127.0.0.1:0".to_string(),
-            ..lalr_service::DaemonConfig::default()
-        })
+        let daemon = lalr_service::EventDaemon::start(
+            lalr_service::DaemonConfig {
+                addr: "127.0.0.1:0".to_string(),
+                ..lalr_service::DaemonConfig::default()
+            },
+            1,
+        )
         .expect("bind loopback");
         let addr = daemon.addr().to_string();
         let out = run_strs(&["trace", "--addr", &addr]).unwrap();

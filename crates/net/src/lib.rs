@@ -12,9 +12,9 @@
 //!   cancellation;
 //! * [`TokenBucket`] — a caller-clocked token bucket for request
 //!   admission (pure state machine, deterministic under test);
-//! * [`LineReader`] / [`WriteBuf`] — per-connection buffers that
-//!   reproduce the blocking daemon's newline framing and line-length
-//!   caps under nonblocking reads and partial writes;
+//! * [`LineReader`] / [`WriteBuf`] — per-connection buffers for
+//!   newline framing with a line-length cap under nonblocking reads and
+//!   partial writes;
 //! * [`Mmap`] — read-only file mappings for zero-copy artifact loads,
 //!   with a `read` fallback so callers have one code path.
 //!

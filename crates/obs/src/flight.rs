@@ -258,7 +258,7 @@ mod tests {
             id,
             op: (id % 7) as u8,
             shard: (id % 3) as u16,
-            error: id % 5 == 0,
+            error: id.is_multiple_of(5),
             total_us: id * 10,
             stages_us: [id, 0, id * 4, 0, id * 5],
         }

@@ -165,6 +165,10 @@ impl<'t, S: ActionSource> Parser<'t, S> {
     /// 4. resumes, suppressing cascaded reports until three tokens have
     ///    been shifted cleanly (yacc's hysteresis).
     ///
+    /// An error before any token has been shifted since the last recovery
+    /// discards the offending token instead (at end of input, recovery
+    /// fails), so every recovery consumes input and the parse terminates.
+    ///
     /// Returns the tree (with `error` leaves where recovery happened) plus
     /// the diagnostics; `None` when recovery failed outright.
     pub fn parse_with_error_token<I>(
@@ -220,6 +224,17 @@ impl<'t, S: ActionSource> Parser<'t, S> {
                     return (Some(tree), errors);
                 }
                 Action::Error => {
+                    if clean_shifts == 0 {
+                        // Nothing shifted since the last recovery: popping
+                        // to `error` again would re-shift it in place
+                        // forever. Drop the look-ahead instead (byacc's
+                        // rule), or give up at end of input.
+                        let Some(skipped) = input.next() else {
+                            return (None, errors);
+                        };
+                        end = skipped.offset() + skipped.text().len();
+                        continue;
+                    }
                     if clean_shifts >= 3 {
                         errors.push(self.error(state, input.peek().cloned(), end));
                     }

@@ -1,23 +1,27 @@
-//! The readiness-driven TCP daemon: epoll event-loop shards over the
-//! service.
+//! The TCP daemon: epoll event-loop shards over the service.
 //!
-//! Same wire protocol, limits, failpoints, and drain semantics as the
-//! thread-per-connection [`crate::Daemon`], but connections multiplex
-//! onto N event-loop shards (built on [`lalr_net`]'s edge-triggered
-//! epoll wrapper) instead of each owning a blocked thread. Compute
-//! still happens on the service's worker pool — a request is submitted
-//! with [`Service::submit`] and its response comes back through a
-//! per-shard completion queue plus an eventfd wake, so a shard thread
-//! never blocks on a compile. Requests on one connection stay strictly
-//! serialized (a pipelined second line waits for the first response),
-//! which keeps responses byte-identical to the blocking front end.
+//! Framing is newline-delimited JSON (one request line in, one response
+//! line out; see [`crate::protocol`]). Connections multiplex onto N
+//! event-loop shards built on [`lalr_net`]'s edge-triggered epoll
+//! wrapper, which exists only on x86-64 Linux; elsewhere
+//! [`EventDaemon::start`] fails with `Unsupported`. Compute happens on
+//! the service's worker pool — a request is submitted with
+//! [`Service::submit`] and its response comes back through a per-shard
+//! completion queue plus an eventfd wake — so a shard thread never
+//! blocks on a compile, and the pool bounds concurrent compiles
+//! regardless of connection count. Requests on one connection stay
+//! strictly serialized (a pipelined second line waits for the first
+//! response), so each response line is the serialization of what
+//! [`Service::call`] returns for the same request.
 //!
 //! Shard 0 owns the listener and deals accepted connections round-robin
-//! across shards; per-connection read timeouts ride a hashed timer
-//! wheel; shutdown (in-band `shutdown` op or [`EventDaemon::stop`])
-//! drains exactly like the blocking daemon — idle connections close at
-//! once, busy ones get [`DaemonConfig::drain_deadline`] to finish, and
-//! the summary reports drained versus aborted.
+//! across shards; connections beyond [`DaemonConfig::max_connections`]
+//! get an `unavailable` error line and are closed. Per-connection read
+//! timeouts ride a hashed timer wheel. Shutdown (in-band `shutdown` op
+//! or [`EventDaemon::stop`]) drains: idle connections close at once,
+//! busy ones get [`DaemonConfig::drain_deadline`] to finish and are
+//! then force-closed, and [`EventDaemon::join`] reports drained versus
+//! aborted.
 //!
 //! # Self-healing and admission control
 //!
@@ -48,16 +52,15 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lalr_chaos::Fault;
+use lalr_chaos::{Fault, FaultInjector};
 use lalr_net::{
     Event, Interest, LineEvent, LineReader, Poller, TimerWheel, TokenBucket, Waker, WriteBuf,
 };
 use lalr_obs::ActiveTrace;
 use rustc_hash::FxHashMap;
 
-use crate::daemon::{DaemonConfig, DaemonSummary};
 use crate::protocol::{request_from_value, response_to_line};
-use crate::service::{Request, Response, Service, STAGE_WRITE};
+use crate::service::{Request, Response, Service, ServiceConfig, STAGE_WRITE};
 use crate::telemetry::{DaemonCounters, ShardCounters};
 use crate::ServiceError;
 
@@ -79,7 +82,86 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A running event-loop daemon. API mirrors [`crate::Daemon`].
+/// Daemon tuning knobs.
+#[derive(Debug, Clone)]
+pub struct DaemonConfig {
+    /// Address to bind (e.g. `127.0.0.1:4077`; port 0 picks one).
+    pub addr: String,
+    /// Maximum concurrently open connections.
+    pub max_connections: usize,
+    /// Per-connection read timeout; an idle connection is closed.
+    pub read_timeout: Duration,
+    /// Maximum request line length in bytes.
+    pub max_line_bytes: usize,
+    /// How long a shutting-down daemon waits for in-flight requests
+    /// before force-closing their connections.
+    pub drain_deadline: Duration,
+    /// Write timeout for admission-rejection lines (over-cap, over-quota)
+    /// written to a connection that is about to be closed — a slow or
+    /// hostile peer must not stall the accept path. Zero disables the
+    /// timeout.
+    pub reject_write_timeout: Duration,
+    /// Per-peer (per source IP) concurrent-connection quota enforced at
+    /// accept time; over-quota connections get a fast retryable
+    /// `throttled` rejection. 0 disables the quota.
+    pub max_connections_per_peer: usize,
+    /// Token-bucket request rate limit (request lines per second across
+    /// all connections) enforced at line-parse time; over-rate lines get
+    /// a retryable `throttled` rejection. 0 disables the limit.
+    pub rate_limit_per_sec: u64,
+    /// Token-bucket burst capacity. 0 means "same as
+    /// [`DaemonConfig::rate_limit_per_sec`]".
+    pub rate_limit_burst: u64,
+    /// Slow-client write budget: a connection whose queued response
+    /// bytes do not drain within this deadline is closed (write-side
+    /// slowloris defense). Zero disables the budget.
+    pub write_budget: Duration,
+    /// Fault injector for the daemon's I/O failpoints (`daemon.read`,
+    /// `daemon.write`, `daemon.admit`, `shard.panic`). Usually the same
+    /// injector as [`ServiceConfig::faults`]; disabled by default.
+    pub faults: FaultInjector,
+    /// The underlying service configuration.
+    pub service: ServiceConfig,
+}
+
+impl Default for DaemonConfig {
+    fn default() -> Self {
+        DaemonConfig {
+            addr: "127.0.0.1:4077".to_string(),
+            max_connections: 64,
+            read_timeout: Duration::from_secs(30),
+            max_line_bytes: 4 << 20,
+            drain_deadline: Duration::from_secs(5),
+            reject_write_timeout: Duration::from_secs(1),
+            max_connections_per_peer: 0,
+            rate_limit_per_sec: 0,
+            rate_limit_burst: 0,
+            write_budget: Duration::ZERO,
+            faults: FaultInjector::disabled(),
+            service: ServiceConfig::default(),
+        }
+    }
+}
+
+/// What a daemon did, reported by [`EventDaemon::join`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DaemonSummary {
+    /// Connections accepted (including over-cap rejections).
+    pub connections: u64,
+    /// Requests the service handled.
+    pub requests: u64,
+    /// Connections open at shutdown that finished cleanly within the
+    /// drain deadline (idle ones close immediately and count here).
+    pub drained: u64,
+    /// Connections force-closed because they were still mid-request when
+    /// the drain deadline expired.
+    pub aborted: u64,
+    /// Event-loop shards respawned by the supervisor after a panic.
+    pub restarts: u64,
+}
+
+/// A running daemon: newline-delimited JSON over TCP, served by epoll
+/// event-loop shards in front of a [`Service`] worker pool.
 pub struct EventDaemon {
     addr: SocketAddr,
     shared: Arc<Shared>,
@@ -189,8 +271,7 @@ impl EventDaemon {
         if !lalr_net::supported() {
             return Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "event-loop daemon requires the epoll backend (x86-64 Linux); \
-                 use the threaded front end",
+                "the daemon requires the epoll backend, which exists only on x86-64 Linux",
             ));
         }
         let shards = shards.max(1);
@@ -270,8 +351,7 @@ impl EventDaemon {
     }
 
     /// Waits for every shard to finish draining and returns the
-    /// summary (same shape as the threaded daemon's, plus supervisor
-    /// restarts).
+    /// summary.
     pub fn join(self) -> DaemonSummary {
         let mut drained = 0;
         let mut aborted = 0;
@@ -302,7 +382,7 @@ struct Conn {
     reader: LineReader,
     out: WriteBuf,
     /// Decoded lines not yet processed (pipelined requests queue here —
-    /// one request executes at a time, like the blocking loop).
+    /// one request executes at a time).
     pending: VecDeque<LineEvent>,
     /// A request is executing on the worker pool.
     busy: bool,
@@ -565,7 +645,7 @@ impl Shard {
                     self.wheel
                         .arm(e.token, Instant::now() + self.shared.config.read_timeout);
                 } else {
-                    // Idle timeout: same as the blocking read timing out.
+                    // Idle timeout.
                     self.close(e.token);
                 }
             }
@@ -736,8 +816,7 @@ impl Shard {
     }
 
     /// Processes queued lines until a request goes in flight, the
-    /// connection turns terminal, or the queue runs dry. Mirrors the
-    /// blocking serve loop one line at a time.
+    /// connection turns terminal, or the queue runs dry.
     fn pump(&mut self, token: u64) {
         loop {
             let Some(conn) = self.conns.get_mut(&token) else {
@@ -764,8 +843,8 @@ impl Shard {
                 return;
             };
             match item {
-                // The blocking loop's read_line fails on invalid UTF-8
-                // and drops the connection without a response.
+                // Invalid UTF-8 drops the connection without a
+                // response.
                 LineEvent::InvalidUtf8 => {
                     self.close(token);
                     return;
@@ -916,7 +995,7 @@ impl Shard {
         let Some(conn) = self.conns.get_mut(&token) else {
             // The connection died while its request executed (close,
             // timeout, or a shard crash); the response has nowhere to
-            // go (same as the blocking daemon failing its write).
+            // go.
             return;
         };
         conn.busy = false;
@@ -959,7 +1038,7 @@ impl Shard {
     }
 
     /// Serializes and queues one response line, applying the
-    /// `daemon.write` failpoint exactly like the blocking `respond`.
+    /// `daemon.write` failpoint.
     /// Returns `false` when the fault consumed or cut the response (the
     /// connection is then marked to close after flushing).
     fn queue_response(&mut self, token: u64, response: &Response) -> bool {

@@ -19,11 +19,12 @@
 //!   `table` and `parse` requests with per-request deadlines, a request
 //!   size guard, `catch_unwind` around the pipeline, and a [`StatsSnapshot`]
 //!   (request counts, cache hit rate, fixed-bucket latency histogram).
-//! * [`Daemon`] + [`client`] — a `TcpListener` accept loop speaking
+//! * [`EventDaemon`] + [`client`] — epoll event-loop shards speaking
 //!   newline-delimited JSON (the vendored `serde_json` shim), with
-//!   per-connection read timeouts, a concurrent-connection cap, and
-//!   graceful in-band shutdown; the CLI's `lalrgen serve` / `client` /
-//!   `stats` commands and the `loadgen` benchmark drive it.
+//!   per-connection read timeouts, a concurrent-connection cap,
+//!   admission control, and graceful in-band shutdown; the CLI's
+//!   `lalrgen serve` / `client` / `stats` commands and the `loadgen`
+//!   benchmark drive it.
 //!
 //! # Examples
 //!
@@ -53,7 +54,6 @@
 mod artifact;
 mod cache;
 pub mod client;
-mod daemon;
 mod error;
 mod event_daemon;
 pub mod fingerprint;
@@ -65,9 +65,8 @@ mod telemetry;
 pub use artifact::{CompiledArtifact, GrammarFormat};
 pub use cache::{ArtifactCache, CacheConfig, CacheOutcome, CacheStats, Fingerprinter};
 pub use client::{call_with_breaker, call_with_retry, CircuitBreaker, ClientReply, RetryPolicy};
-pub use daemon::{Daemon, DaemonConfig, DaemonSummary};
 pub use error::ServiceError;
-pub use event_daemon::EventDaemon;
+pub use event_daemon::{DaemonConfig, DaemonSummary, EventDaemon};
 pub use lalr_chaos::{Fault, FaultInjector, FaultPlan, FaultPointStats, Trigger};
 pub use lalr_obs::{ActiveTrace, RequestTrace, STAGE_NAMES};
 pub use service::{

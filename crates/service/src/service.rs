@@ -558,8 +558,8 @@ pub struct StatsSnapshot {
     /// Per-rule fault-injection counters (empty unless a chaos plan is
     /// armed; see `lalr_chaos`).
     pub faults: Vec<FaultPointStats>,
-    /// Per-shard event-loop telemetry (empty for the threaded front
-    /// end, one entry per epoll shard under the event daemon).
+    /// Per-shard event-loop telemetry (empty for in-process callers,
+    /// one entry per epoll shard under the daemon).
     pub shards: Vec<ShardStatsSnapshot>,
     /// Health state machine and admission-control telemetry.
     pub health: HealthStats,
@@ -729,12 +729,12 @@ struct Inner {
     tracer: Option<FlightRecorder>,
     /// Cumulative per-stage nanoseconds across sampled requests.
     stage_ns: [AtomicU64; STAGE_COUNT],
-    /// Per-shard event-loop counters, registered once by the event
-    /// front end (empty for in-process and threaded callers).
+    /// Per-shard event-loop counters, registered once by the daemon
+    /// (empty for in-process callers).
     shards: std::sync::OnceLock<Vec<Arc<ShardCounters>>>,
     /// Daemon self-healing counters (shard restarts, admission
-    /// rejections), registered once by whichever front end serves this
-    /// service. Absent for in-process callers.
+    /// rejections), registered once by the daemon serving this service.
+    /// Absent for in-process callers.
     daemon: std::sync::OnceLock<Arc<DaemonCounters>>,
     /// Health state machine position ([`HealthState::code`] values).
     health: AtomicU8,

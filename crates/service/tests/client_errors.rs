@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use lalr_service::client::{call_with_retry, RetryPolicy};
 use lalr_service::{
-    client, Daemon, DaemonConfig, Fault, FaultInjector, FaultPlan, GrammarFormat, Request,
+    client, DaemonConfig, EventDaemon, Fault, FaultInjector, FaultPlan, GrammarFormat, Request,
     ServiceError, Trigger,
 };
 
@@ -130,10 +130,16 @@ fn client_side_failpoints_surface_as_their_transport_errors() {
     assert_eq!(faults.injected_at("client.connect"), 1);
 
     // client.write and client.read inject against a live daemon.
-    let daemon = Daemon::start(DaemonConfig {
-        addr: "127.0.0.1:0".to_string(),
-        ..DaemonConfig::default()
-    })
+    if !lalr_net::supported() {
+        return;
+    }
+    let daemon = EventDaemon::start(
+        DaemonConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..DaemonConfig::default()
+        },
+        1,
+    )
     .unwrap();
     for point in ["client.write", "client.read"] {
         let faults = FaultPlan::new(3)
@@ -157,10 +163,16 @@ fn client_side_failpoints_surface_as_their_transport_errors() {
 
 #[test]
 fn retry_recovers_from_two_injected_connect_failures() {
-    let daemon = Daemon::start(DaemonConfig {
-        addr: "127.0.0.1:0".to_string(),
-        ..DaemonConfig::default()
-    })
+    if !lalr_net::supported() {
+        return;
+    }
+    let daemon = EventDaemon::start(
+        DaemonConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..DaemonConfig::default()
+        },
+        1,
+    )
     .unwrap();
     // First two dials are shot down; the third goes through, so the
     // reply must arrive stamped `attempts == 3`.

@@ -1,6 +1,7 @@
-//! Loopback tests of the epoll event-loop daemon: protocol parity with
-//! the thread-per-connection front end, pipelining, drain semantics,
-//! the connection cap, and warm restarts from the persistent store.
+//! Loopback tests of the epoll event-loop daemon: protocol round trips,
+//! error replies, stats, pipelining, deadlines, drain semantics, the
+//! connection cap, warm restarts from the persistent store, and byte
+//! parity with in-process `Service::call` under concurrent clients.
 //!
 //! Every test is gated on `lalr_net::supported()` so the suite stays
 //! green on platforms without the raw epoll backend.
@@ -10,10 +11,12 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use lalr_core::Parallelism;
 use lalr_service::client::{self, ClientReply};
-use lalr_service::protocol::request_to_line;
+use lalr_service::protocol::{request_to_line, response_to_line};
 use lalr_service::{
-    Daemon, DaemonConfig, EventDaemon, GrammarFormat, ParseTarget, Request, ServiceConfig,
+    DaemonConfig, EventDaemon, Fault, FaultPlan, GrammarFormat, ParseTarget, Request, Service,
+    ServiceConfig, Trigger,
 };
 
 use serde_json::Value;
@@ -87,6 +90,23 @@ fn event_daemon_compiles_caches_reports_stats_and_shuts_down() {
         "{}",
         stats.raw
     );
+    let cache = stats.value.get("cache").expect("cache stats present");
+    assert!(cache.get("hits").and_then(Value::as_u64) >= Some(1));
+    // The persistent-store counters are always reported, and stay zero
+    // when no store directory is configured.
+    for key in [
+        "store_hits",
+        "store_misses",
+        "store_writes",
+        "store_corrupt",
+    ] {
+        assert_eq!(
+            cache.get(key).and_then(Value::as_u64),
+            Some(0),
+            "{key}: {}",
+            stats.raw
+        );
+    }
 
     let bye = call(&addr, &Request::Shutdown);
     assert!(bye.is_ok(), "{}", bye.raw);
@@ -177,6 +197,19 @@ fn event_daemon_handles_malformed_lines_and_keeps_the_connection() {
         .and_then(Value::as_str)
         .unwrap();
     assert!(msg.contains("available: compile"), "{msg}");
+
+    // A bad grammar is an application error, not a transport one.
+    line.clear();
+    writeln!(writer, "{{\"op\":\"compile\",\"grammar\":\"e : oops\"}}").unwrap();
+    reader.read_line(&mut line).unwrap();
+    let v: Value = serde_json::from_str(line.trim_end()).unwrap();
+    assert_eq!(
+        v.get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Value::as_str),
+        Some("bad_grammar"),
+        "{line}"
+    );
 
     // The same connection still serves a good request afterwards.
     line.clear();
@@ -308,6 +341,72 @@ fn event_daemon_drains_idle_connections_promptly() {
 }
 
 #[test]
+fn drain_deadline_zero_aborts_a_connection_mid_request() {
+    if !lalr_net::supported() {
+        return;
+    }
+    // Every compile stalls 300 ms; with a zero drain deadline a stop()
+    // mid-request must force-close rather than wait.
+    let faults = FaultPlan::new(5)
+        .rule("service.compile", Fault::Delay(300), Trigger::Rate(1.0))
+        .build();
+    let config = DaemonConfig {
+        addr: "127.0.0.1:0".to_string(),
+        drain_deadline: Duration::from_millis(0),
+        faults: faults.clone(),
+        service: ServiceConfig {
+            faults,
+            ..ServiceConfig::default()
+        },
+        ..DaemonConfig::default()
+    };
+    let daemon = EventDaemon::start(config, 1).unwrap();
+    let addr = daemon.addr().to_string();
+    let busy = std::thread::spawn(move || {
+        // The response may be lost to the forced close; only the timing
+        // contract matters here.
+        let _ = client::call(&addr, &compile_request(), None, Duration::from_secs(10));
+    });
+    // Wait until the request is in flight, then stop under it.
+    std::thread::sleep(Duration::from_millis(100));
+    daemon.stop();
+    let summary = daemon.join();
+    assert!(
+        summary.aborted >= 1,
+        "a mid-request connection must be aborted at deadline 0: {summary:?}"
+    );
+    busy.join().unwrap();
+}
+
+#[test]
+fn deadline_of_zero_is_reported_as_deadline_exceeded() {
+    if !lalr_net::supported() {
+        return;
+    }
+    let daemon = start_event_daemon(1);
+    let reply = client::call(
+        &daemon.addr().to_string(),
+        &compile_request(),
+        Some(Duration::from_millis(0)),
+        Duration::from_secs(30),
+    )
+    .unwrap();
+    assert!(!reply.is_ok(), "{}", reply.raw);
+    assert_eq!(
+        reply
+            .value
+            .get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Value::as_str),
+        Some("deadline"),
+        "{}",
+        reply.raw
+    );
+    daemon.stop();
+    daemon.join();
+}
+
+#[test]
 fn event_daemon_serves_warm_from_store_after_restart() {
     if !lalr_net::supported() {
         return;
@@ -378,42 +477,33 @@ fn event_daemon_serves_warm_from_store_after_restart() {
 }
 
 /// The acceptance differential: eight client threads over TCP against
-/// the epoll front end must produce byte-identical response lines to
-/// the thread-per-connection reference daemon answering the same
+/// a two-shard daemon must produce byte-identical response lines to a
+/// sequential in-process `Service::call` reference answering the same
 /// workload (modulo the scheduling-dependent `cached` flag).
 #[test]
-fn eight_thread_tcp_soak_matches_threaded_daemon_byte_for_byte() {
+fn eight_thread_tcp_soak_matches_in_process_reference_byte_for_byte() {
     if !lalr_net::supported() {
         return;
     }
     const THREADS: usize = 8;
 
-    fn workload() -> Vec<String> {
-        let mut lines = Vec::new();
+    fn workload() -> Vec<Request> {
+        let mut requests = Vec::new();
         for entry in lalr_corpus::all_entries() {
             let grammar = entry.source.to_string();
-            lines.push(request_to_line(
-                &Request::Compile {
-                    grammar: grammar.clone(),
-                    format: GrammarFormat::Native,
-                },
-                None,
-            ));
-            lines.push(request_to_line(
-                &Request::Classify {
-                    grammar: grammar.clone(),
-                    format: GrammarFormat::Native,
-                },
-                None,
-            ));
-            lines.push(request_to_line(
-                &Request::Table {
-                    grammar: grammar.clone(),
-                    format: GrammarFormat::Native,
-                    compressed: true,
-                },
-                None,
-            ));
+            requests.push(Request::Compile {
+                grammar: grammar.clone(),
+                format: GrammarFormat::Native,
+            });
+            requests.push(Request::Classify {
+                grammar: grammar.clone(),
+                format: GrammarFormat::Native,
+            });
+            requests.push(Request::Table {
+                grammar: grammar.clone(),
+                format: GrammarFormat::Native,
+                compressed: true,
+            });
             let parsed = entry.grammar();
             let documents: Vec<String> = lalr_corpus::sentences::generate_many(&parsed, 1, 2, 16)
                 .iter()
@@ -425,84 +515,80 @@ fn eight_thread_tcp_soak_matches_threaded_daemon_byte_for_byte() {
                 })
                 .collect();
             if !documents.is_empty() {
-                lines.push(request_to_line(
-                    &Request::Parse {
-                        target: ParseTarget::Text {
-                            grammar: grammar.clone(),
-                            format: GrammarFormat::Native,
-                        },
-                        documents,
-                        recover: false,
-                        sync: Vec::new(),
+                requests.push(Request::Parse {
+                    target: ParseTarget::Text {
+                        grammar: grammar.clone(),
+                        format: GrammarFormat::Native,
                     },
-                    None,
-                ));
+                    documents,
+                    recover: false,
+                    sync: Vec::new(),
+                });
             }
         }
-        lines
+        requests
     }
 
     fn normalize(line: &str) -> String {
         line.replace("\"cached\":true", "\"cached\":false")
     }
 
-    /// Runs the strided workload through `addr` from THREADS client
-    /// threads, each on one persistent connection, and returns the
-    /// normalized response for every request index.
-    fn run(addr: std::net::SocketAddr, requests: &std::sync::Arc<Vec<String>>) -> Vec<String> {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let requests = std::sync::Arc::clone(requests);
-                std::thread::spawn(move || {
-                    let stream = TcpStream::connect(addr).expect("connect");
-                    stream
-                        .set_read_timeout(Some(Duration::from_secs(60)))
-                        .unwrap();
-                    let mut writer = stream.try_clone().unwrap();
-                    let mut reader = BufReader::new(stream);
-                    let mut got = Vec::new();
-                    let mut line = String::new();
-                    for i in (t..requests.len()).step_by(THREADS) {
-                        writeln!(writer, "{}", requests[i]).unwrap();
-                        line.clear();
-                        reader.read_line(&mut line).unwrap();
-                        got.push((i, normalize(line.trim_end())));
-                    }
-                    got
-                })
-            })
-            .collect();
-        let mut out = vec![String::new(); requests.len()];
-        for h in handles {
-            for (i, line) in h.join().unwrap() {
-                out[i] = line;
-            }
-        }
-        out
-    }
-
     let requests = std::sync::Arc::new(workload());
     assert!(requests.len() >= 40, "workload is non-trivial");
 
-    let threaded = Daemon::start(DaemonConfig {
-        addr: "127.0.0.1:0".to_string(),
-        ..DaemonConfig::default()
-    })
-    .unwrap();
-    let reference = run(threaded.addr(), &requests);
-    threaded.stop();
-    threaded.join();
+    // Reference: one worker, requests strictly in order, no socket.
+    let reference = Service::new(ServiceConfig {
+        workers: Parallelism::sequential(),
+        ..ServiceConfig::default()
+    });
+    let expected: Vec<String> = requests
+        .iter()
+        .map(|r| normalize(&response_to_line(&reference.call(r.clone(), None))))
+        .collect();
+    drop(reference);
 
-    let event = start_event_daemon(2);
-    let subject = run(event.addr(), &requests);
-    event.stop();
-    let summary = event.join();
+    // Subject: THREADS client threads, each on one persistent
+    // connection, walking a strided slice of the same request list.
+    let daemon = start_event_daemon(2);
+    let addr = daemon.addr();
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let requests = std::sync::Arc::clone(&requests);
+            std::thread::spawn(move || {
+                let stream = TcpStream::connect(addr).expect("connect");
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(60)))
+                    .unwrap();
+                let mut writer = stream.try_clone().unwrap();
+                let mut reader = BufReader::new(stream);
+                let mut got = Vec::new();
+                let mut line = String::new();
+                for i in (t..requests.len()).step_by(THREADS) {
+                    writeln!(writer, "{}", request_to_line(&requests[i], None)).unwrap();
+                    line.clear();
+                    reader.read_line(&mut line).unwrap();
+                    got.push((i, normalize(line.trim_end())));
+                }
+                got
+            })
+        })
+        .collect();
+    let mut actual = vec![String::new(); requests.len()];
+    for h in handles {
+        for (i, line) in h.join().unwrap() {
+            actual[i] = line;
+        }
+    }
+    daemon.stop();
+    let summary = daemon.join();
     assert_eq!(summary.aborted, 0, "{summary:?}");
 
-    for (i, (want, got)) in reference.iter().zip(&subject).enumerate() {
+    for (i, (want, got)) in expected.iter().zip(&actual).enumerate() {
         assert_eq!(
-            got, want,
-            "request {i} diverged between the epoll and threaded front ends"
+            got,
+            want,
+            "request {i} ({:?}) diverged between the daemon and Service::call",
+            requests[i].op()
         );
     }
 }

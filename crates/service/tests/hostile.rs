@@ -1,24 +1,27 @@
 //! Hostile-input hardening: malformed bytes, adversarial JSON, and
 //! absurd field values must each get a structured error (or a dropped
 //! connection) while the daemon keeps serving well-formed requests.
+//!
+//! Every test is gated on `lalr_net::supported()`: the daemon needs
+//! the raw epoll backend.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use lalr_service::client::{self, ClientReply};
-use lalr_service::{Daemon, DaemonConfig, Fault, FaultPlan, GrammarFormat, Request, Trigger};
+use lalr_service::{DaemonConfig, EventDaemon, Fault, FaultPlan, GrammarFormat, Request, Trigger};
 
 use serde_json::Value;
 
 const GRAMMAR: &str = "e : e \"+\" t | t ; t : \"x\" ;";
 
-fn start_daemon() -> Daemon {
+fn start_daemon() -> EventDaemon {
     let config = DaemonConfig {
         addr: "127.0.0.1:0".to_string(),
         ..DaemonConfig::default()
     };
-    Daemon::start(config).expect("bind loopback")
+    EventDaemon::start(config, 1).expect("bind loopback")
 }
 
 fn compile_request() -> Request {
@@ -28,7 +31,7 @@ fn compile_request() -> Request {
     }
 }
 
-fn call(daemon: &Daemon, request: &Request) -> ClientReply {
+fn call(daemon: &EventDaemon, request: &Request) -> ClientReply {
     client::call(
         &daemon.addr().to_string(),
         request,
@@ -39,7 +42,7 @@ fn call(daemon: &Daemon, request: &Request) -> ClientReply {
 }
 
 /// Opens a raw connection with a short read timeout for line exchanges.
-fn raw_conn(daemon: &Daemon) -> (TcpStream, BufReader<TcpStream>) {
+fn raw_conn(daemon: &EventDaemon) -> (TcpStream, BufReader<TcpStream>) {
     let stream = TcpStream::connect(daemon.addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -61,12 +64,15 @@ fn error_kind(line: &str) -> String {
 
 #[test]
 fn invalid_utf8_drops_the_connection_and_the_daemon_survives() {
+    if !lalr_net::supported() {
+        return;
+    }
     let daemon = start_daemon();
     let (mut writer, mut reader) = raw_conn(&daemon);
 
     // A line that is not UTF-8: 0xFF can never appear in a valid
-    // sequence. `read_line` on the server errors and the connection is
-    // dropped without a reply — the client observes EOF.
+    // sequence. The server's line reader rejects it and the connection
+    // is dropped without a reply — the client observes EOF.
     writer
         .write_all(&[0xFF, 0xFE, 0x80, b'{', b'}', b'\n'])
         .unwrap();
@@ -85,12 +91,15 @@ fn invalid_utf8_drops_the_connection_and_the_daemon_survives() {
 
 #[test]
 fn deeply_nested_json_hits_the_parser_depth_guard() {
+    if !lalr_net::supported() {
+        return;
+    }
     let daemon = start_daemon();
     let (mut writer, mut reader) = raw_conn(&daemon);
 
     // 200 levels of nesting — past the vendored parser's MAX_DEPTH of
     // 128 — must be refused by the recursion guard, not overflow the
-    // connection thread's stack.
+    // shard thread's stack.
     let deep = format!("{}{}", "[".repeat(200), "]".repeat(200));
     writeln!(writer, "{deep}").unwrap();
     let mut line = String::new();
@@ -123,12 +132,15 @@ fn deeply_nested_json_hits_the_parser_depth_guard() {
 
 #[test]
 fn absurd_numeric_and_mistyped_fields_each_get_a_structured_error() {
+    if !lalr_net::supported() {
+        return;
+    }
     let daemon = start_daemon();
     let (mut writer, mut reader) = raw_conn(&daemon);
     let mut line = String::new();
 
     // Every hostile line is answered on the same connection; none of
-    // them may wedge or crash the thread serving it.
+    // them may wedge or crash the shard serving it.
     let cases: &[&str] = &[
         // deadline_ms beyond exact-integer range (numbers are f64).
         r#"{"op":"compile","grammar":"e : \"x\" ;","deadline_ms":99999999999999999999999}"#,
@@ -175,6 +187,9 @@ fn absurd_numeric_and_mistyped_fields_each_get_a_structured_error() {
 
 #[test]
 fn empty_parse_batch_is_a_structured_bad_request() {
+    if !lalr_net::supported() {
+        return;
+    }
     let daemon = start_daemon();
     let (mut writer, mut reader) = raw_conn(&daemon);
     let mut line = String::new();
@@ -223,6 +238,9 @@ fn empty_parse_batch_is_a_structured_bad_request() {
 
 #[test]
 fn oversized_document_degrades_to_a_per_document_error() {
+    if !lalr_net::supported() {
+        return;
+    }
     // One absurd document must not fail the batch, wedge the
     // connection, or starve its well-formed neighbours.
     let daemon = start_daemon();
@@ -266,6 +284,9 @@ fn oversized_document_degrades_to_a_per_document_error() {
 
 #[test]
 fn injected_read_garbage_is_a_bad_request_and_the_connection_survives() {
+    if !lalr_net::supported() {
+        return;
+    }
     // The daemon.read Garbage failpoint corrupts the *first* request
     // line as if the transport had scrambled it; the daemon answers
     // bad_request and the same connection then serves the clean retry.
@@ -277,7 +298,7 @@ fn injected_read_garbage_is_a_bad_request_and_the_connection_survives() {
         faults: faults.clone(),
         ..DaemonConfig::default()
     };
-    let daemon = Daemon::start(config).unwrap();
+    let daemon = EventDaemon::start(config, 1).unwrap();
     let (mut writer, mut reader) = raw_conn(&daemon);
     let request_line = lalr_service::protocol::request_to_line(&compile_request(), None);
 

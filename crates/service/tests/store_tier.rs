@@ -5,7 +5,7 @@
 //! reopened service either loads the old artifact or takes a clean
 //! miss and recompiles.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use lalr_core::Parallelism;
@@ -22,10 +22,10 @@ fn temp_store_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn with_store(dir: &PathBuf) -> ServiceConfig {
+fn with_store(dir: &Path) -> ServiceConfig {
     ServiceConfig {
         workers: Parallelism::sequential(),
-        store_dir: Some(dir.clone()),
+        store_dir: Some(dir.to_path_buf()),
         ..ServiceConfig::default()
     }
 }
@@ -57,7 +57,7 @@ fn normalize(line: &str) -> String {
     line.replace("\"cached\":true", "\"cached\":false")
 }
 
-fn artifact_files(dir: &PathBuf) -> Vec<String> {
+fn artifact_files(dir: &Path) -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir(dir)
         .map(|rd| {
             rd.filter_map(|e| e.ok())

@@ -3,9 +3,8 @@
 //! zero-observable-difference guarantee when tracing is armed, and the
 //! stats/metrics consistency of the per-shard telemetry.
 //!
-//! Event-daemon tests are gated on `lalr_net::supported()`; the
-//! determinism and disabled-recorder tests also run against the
-//! thread-per-connection front end, so they hold everywhere.
+//! Every daemon test is gated on `lalr_net::supported()`: the daemon
+//! needs the raw epoll backend.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -14,8 +13,7 @@ use std::time::Duration;
 use lalr_chaos::{Fault, FaultPlan, Trigger};
 use lalr_service::client::{self, ClientReply};
 use lalr_service::{
-    Daemon, DaemonConfig, EventDaemon, GrammarFormat, ParseTarget, Request, TraceConfig,
-    TraceFilter,
+    DaemonConfig, EventDaemon, GrammarFormat, ParseTarget, Request, TraceConfig, TraceFilter,
 };
 
 use serde_json::Value;
@@ -181,12 +179,18 @@ fn hostile_trace_filters_get_structured_errors_over_the_wire() {
 
 #[test]
 fn trace_on_a_disabled_recorder_reports_disabled_not_error() {
+    if !lalr_net::supported() {
+        return;
+    }
     // Library-default config: no tracing. The op still answers (so
     // `lalrgen trace` can explain itself) but validates filters first.
-    let daemon = Daemon::start(DaemonConfig {
-        addr: "127.0.0.1:0".to_string(),
-        ..DaemonConfig::default()
-    })
+    let daemon = EventDaemon::start(
+        DaemonConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..DaemonConfig::default()
+        },
+        1,
+    )
     .expect("bind loopback");
     let addr = daemon.addr().to_string();
 
@@ -213,9 +217,11 @@ fn trace_on_a_disabled_recorder_reports_disabled_not_error() {
 
 #[test]
 fn traced_and_untraced_daemons_answer_byte_identically() {
+    if !lalr_net::supported() {
+        return;
+    }
     // Arming the flight recorder must be invisible on the wire: every
-    // response byte-identical to an untraced daemon's, on both front
-    // ends.
+    // response byte-identical to an untraced daemon's.
     let requests: Vec<String> = vec![
         lalr_service::protocol::request_to_line(&compile_request(), None),
         lalr_service::protocol::request_to_line(
@@ -258,19 +264,11 @@ fn traced_and_untraced_daemons_answer_byte_identically() {
                 ..DaemonConfig::default()
             }
         };
-        if lalr_net::supported() {
-            let daemon = EventDaemon::start(config, 2).expect("bind loopback");
-            let addr = daemon.addr().to_string();
-            transcripts.push(raw_lines(&addr, &request_lines));
-            call(&addr, &Request::Shutdown);
-            daemon.join();
-        } else {
-            let daemon = Daemon::start(config).expect("bind loopback");
-            let addr = daemon.addr().to_string();
-            transcripts.push(raw_lines(&addr, &request_lines));
-            call(&addr, &Request::Shutdown);
-            daemon.join();
-        }
+        let daemon = EventDaemon::start(config, 2).expect("bind loopback");
+        let addr = daemon.addr().to_string();
+        transcripts.push(raw_lines(&addr, &request_lines));
+        call(&addr, &Request::Shutdown);
+        daemon.join();
     }
     assert_eq!(
         transcripts[0], transcripts[1],

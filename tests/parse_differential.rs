@@ -16,6 +16,8 @@
 //! theorem rather than a coincidence (same convention as
 //! `generated_sentences.rs`).
 
+use std::sync::mpsc::RecvTimeoutError;
+
 use lalr::corpus::sentences::{generate_many, mutate_many};
 use lalr::grammar::Terminal;
 use lalr::prelude::*;
@@ -336,4 +338,66 @@ fn recovered_trees_render_like_the_recursive_reference() {
         recovered >= 300,
         "too few trees with <error> leaves: {recovered}"
     );
+}
+
+#[test]
+fn error_recovery_terminates_on_every_mutant() {
+    // yacc's statement pattern with `;` inside both alternatives: after
+    // `error` is shifted only `;` is actionable, so a token that errors
+    // again before anything is shifted must be dropped (byacc's rule),
+    // not answered by re-shifting `error` in place forever.
+    let src = "stmts : stmt | stmts stmt ; stmt : ID \"=\" NUM \";\" | error \";\" ;";
+    let grammar = parse_grammar(src).expect("valid grammar");
+    let table = conflict_free_table(&grammar).expect("conflict-free");
+    let error = table.terminal_by_name("error").expect("declared");
+    let semi = table.terminal_by_name(";").expect("declared");
+    let mut mutants = Vec::new();
+    for (seed, budget) in [(0xE770, 30), (0x5EED, 200)] {
+        let sentences = generate_many(&grammar, seed, 40, budget);
+        for (_, mutant) in mutate_many(&grammar, &sentences, 0xBAD5EED ^ seed, 400) {
+            mutants.push(tokens_for(&mutant, &grammar));
+        }
+    }
+    assert_eq!(mutants.len(), 800);
+
+    // A parse that never returns would hang the suite: run them on a
+    // helper thread and fail on a deadline instead.
+    let (done, outcomes) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let parser = Parser::new(&table);
+        for toks in mutants {
+            let plain = parser.parse(toks.clone()).err().map(|e| e.offset);
+            let with_error = parser.parse_with_error_token(toks.clone(), error, 8);
+            let with_sync = parser.parse_with_recovery(toks, &[semi], 8);
+            if done.send((plain, with_error, with_sync)).is_err() {
+                return;
+            }
+        }
+    });
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let mut recovered = 0usize;
+    for i in 0..800 {
+        let left = deadline.saturating_duration_since(std::time::Instant::now());
+        let (plain, (tree, errors), (sync_tree, sync_errors)) = match outcomes.recv_timeout(left) {
+            Ok(outcome) => outcome,
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("mutant {i}: a recovering parse did not terminate within 30 s")
+            }
+            // The helper panicked: surface its panic.
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(helper.join().expect_err("helper stopped early"))
+            }
+        };
+        // Both recovering parsers report the plain parser's first error
+        // (and nothing on accepted input).
+        assert_eq!(errors.first().map(|e| e.offset), plain, "mutant {i}");
+        assert_eq!(sync_errors.first().map(|e| e.offset), plain, "mutant {i}");
+        if plain.is_none() {
+            assert!(tree.is_some() && sync_tree.is_some(), "mutant {i}");
+        } else if tree.is_some() {
+            recovered += 1;
+        }
+    }
+    helper.join().expect("helper finished");
+    assert!(recovered >= 600, "too few recovered parses: {recovered}");
 }
