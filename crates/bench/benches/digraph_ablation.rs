@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lalr_automata::Lr0Automaton;
 use lalr_bitset::BitMatrix;
 use lalr_core::Relations;
-use lalr_digraph::{digraph, digraph_levels, naive_closure};
+use lalr_digraph::{digraph, naive_closure};
 use lalr_grammar::Grammar;
 
 fn follow_inputs(grammar: &Grammar) -> (lalr_digraph::Graph, BitMatrix) {
@@ -128,62 +128,10 @@ fn bench_chain_worst_case(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_levels(c: &mut Criterion) {
-    // Sequential DFS traversal vs the level-scheduled traversal at 1/2/4/8
-    // threads, on the shapes that matter: a wide forest (maximally
-    // parallel frontier), a real grammar, and a long chain (worst case —
-    // every level holds a single component, so threading buys nothing and
-    // this row isolates the scheduling overhead).
-    let mut group = c.benchmark_group("digraph_parallel");
-    group.sample_size(30);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    let inputs: Vec<(String, Grammar)> = vec![
-        (
-            "wide_forest_512".into(),
-            lalr_corpus::synthetic::wide_forest(512),
-        ),
-        (
-            "c_subset".into(),
-            lalr_corpus::by_name("c_subset").expect("exists").grammar(),
-        ),
-        ("chain_200".into(), lalr_corpus::synthetic::chain(200)),
-    ];
-    for (name, grammar) in &inputs {
-        let (includes, read) = follow_inputs(grammar);
-        group.bench_with_input(
-            BenchmarkId::new("sequential", name),
-            &(&includes, &read),
-            |b, (g, m)| {
-                b.iter(|| {
-                    let mut sets = (*m).clone();
-                    digraph(g, &mut sets);
-                    sets
-                })
-            },
-        );
-        for threads in [1usize, 2, 4, 8] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("levels_t{threads}"), name),
-                &(&includes, &read),
-                |b, (g, m)| {
-                    b.iter(|| {
-                        let mut sets = (*m).clone();
-                        digraph_levels(g, &mut sets, threads);
-                        sets
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_follow_computation,
     bench_scc_collapse,
-    bench_chain_worst_case,
-    bench_parallel_levels
+    bench_chain_worst_case
 );
 criterion_main!(benches);

@@ -6,7 +6,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lalr_automata::Lr0Automaton;
 use lalr_bench::methods::Method;
-use lalr_core::{LalrAnalysis, Parallelism};
 use lalr_corpus::synthetic;
 
 fn bench_ladder(c: &mut Criterion) {
@@ -70,45 +69,5 @@ fn bench_chain(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_pipeline(c: &mut Criterion) {
-    // The full DP pipeline (relation build + both Digraph runs + LA
-    // union), sequential vs the sharded/level-scheduled path at 2 and 4
-    // threads, on the largest synthetic grammars. Speedup here is bounded
-    // by the hardware's core count — record the host's
-    // `available_parallelism` alongside the numbers (EXPERIMENTS.md E10).
-    let mut group = c.benchmark_group("scaling_parallel_pipeline");
-    group.sample_size(20);
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    let grammars = [
-        ("expr_ladder_40", synthetic::expr_ladder(40)),
-        ("wide_forest_256", synthetic::wide_forest(256)),
-        ("wide_forest_512", synthetic::wide_forest(512)),
-    ];
-    for (name, grammar) in &grammars {
-        let lr0 = Lr0Automaton::build(grammar);
-        group.bench_with_input(
-            BenchmarkId::new("sequential", name),
-            &(grammar, &lr0),
-            |b, (g, lr0)| b.iter(|| LalrAnalysis::compute(g, lr0)),
-        );
-        for threads in [2usize, 4] {
-            let par = Parallelism::new(threads);
-            group.bench_with_input(
-                BenchmarkId::new(format!("parallel_t{threads}"), name),
-                &(grammar, &lr0),
-                |b, (g, lr0)| b.iter(|| LalrAnalysis::compute_with(g, lr0, &par)),
-            );
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_ladder,
-    bench_nullable,
-    bench_chain,
-    bench_parallel_pipeline
-);
+criterion_group!(benches, bench_ladder, bench_nullable, bench_chain);
 criterion_main!(benches);

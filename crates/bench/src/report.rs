@@ -432,7 +432,7 @@ pub fn table7() -> String {
 /// harness wraps around the two LR(1)-merge stages.
 pub fn table9() -> String {
     use lalr_automata::merge_lr1;
-    use lalr_core::{propagation_recorded, LookaheadSets, Parallelism};
+    use lalr_core::{propagation_recorded, LookaheadSets};
     use lalr_obs::{CollectingRecorder, PhaseReport};
     use std::time::{Duration, Instant};
 
@@ -468,8 +468,7 @@ pub fn table9() -> String {
 
         let rec = CollectingRecorder::new();
         let t0 = Instant::now();
-        let la = LalrAnalysis::compute_recorded(&g, &lr0, &Parallelism::sequential(), &rec)
-            .into_lookaheads();
+        let la = LalrAnalysis::compute_recorded(&g, &lr0, &rec).into_lookaheads();
         let total = t0.elapsed();
         std::hint::black_box(la);
         row(&mut out, entry.name, "DP", total, &rec.report());

@@ -2,11 +2,9 @@
 //!
 //! Every look-ahead method in the workspace bottoms out in a handful of
 //! dense row operations — union, union-with-changed-flag, masked OR,
-//! row copy, population count, and a blocked multi-source OR. Before this
-//! module those loops were written (near-identically) in `bitset.rs`,
-//! `matrix.rs`, `atomic.rs`, `refset.rs` and `shard.rs`; now each set
-//! type delegates here, so the sequential and parallel lanes share one
-//! code path and one optimization surface.
+//! row copy, population count, and a blocked multi-source OR. The set
+//! types of `bitset.rs`, `matrix.rs` and `refset.rs` all delegate here,
+//! so every caller shares one code path and one optimization surface.
 //!
 //! # Layout selection
 //!
@@ -14,9 +12,8 @@
 //!
 //! * [`RowLayout::Fixed64`] (`W1`) — the universe fits one machine word
 //!   (≤ 64 terminals on 64-bit hosts; most of the corpus). Kernels run a
-//!   single straight-line word operation: no loop, no length dispatch in
-//!   the body, and scratch rows ([`RowBuf`]) live inline on the stack
-//!   with no heap indirection.
+//!   single straight-line word operation: no loop and no length
+//!   dispatch in the body.
 //! * [`RowLayout::Fixed128`] (`W2`) — two words (65–128 terminals);
 //!   same story with a two-word straight-line body.
 //! * [`RowLayout::MultiWord`] — anything wider takes the *wide* path:
@@ -38,7 +35,7 @@
 //! after its kernel, so a kernel that smears bits into the tail fails
 //! loudly in debug builds instead of silently corrupting counts.
 
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::{words_for, BITS};
 
@@ -48,7 +45,6 @@ use crate::{words_for, BITS};
 /// How the rows of one analysis are stored and which kernel lane
 /// processes them. Selected once per universe via [`RowLayout::select`]
 /// and consumed by [`BitMatrix`](crate::BitMatrix),
-/// [`AtomicBitMatrix`](crate::AtomicBitMatrix),
 /// [`BitSetRef`](crate::BitSetRef) and the look-ahead store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RowLayout {
@@ -169,67 +165,22 @@ pub fn simd_compiled() -> bool {
 // ---------------------------------------------------------------------------
 // Cache tiling
 
-/// Bytes of destination rows a traversal tile aims to keep resident.
+/// Bytes of destination rows a tile aims to keep resident.
 ///
 /// Half of a conservative 256 KiB L2: the other half is left to source
-/// rows, the scratch row and incidental state. Exact sizing is not
+/// rows and incidental state. Exact sizing is not
 /// critical — the point is that a tile of hot rows fits comfortably in
 /// L2 instead of streaming the whole matrix per pass.
 const L2_TILE_BYTES: usize = 128 << 10;
 
 /// Rows per cache tile for rows of `row_words` words: how many
-/// destination rows a level sweep or LA scatter should touch before
-/// moving on, so the working set stays L2-resident.
+/// destination rows an LA scatter should touch before moving on, so the
+/// working set stays L2-resident.
 ///
 /// Clamped to `[16, 4096]` so degenerate widths still form useful tiles.
 pub fn tile_rows(row_words: usize) -> usize {
     let row_bytes = row_words.max(1) * std::mem::size_of::<usize>();
     (L2_TILE_BYTES / row_bytes).clamp(16, 4096)
-}
-
-// ---------------------------------------------------------------------------
-// Scratch rows
-
-/// A row-sized scratch buffer that honors the layout's storage promise:
-/// `W1`/`W2` rows live inline on the stack with no heap indirection;
-/// only multi-word rows spill to a heap allocation (once, at
-/// construction).
-#[derive(Debug)]
-pub enum RowBuf {
-    /// Inline storage for the fixed layouts; `.1` is the row width (1
-    /// or 2).
-    Inline([usize; 2], usize),
-    /// Heap storage for multi-word rows.
-    Spilled(Vec<usize>),
-}
-
-impl RowBuf {
-    /// An all-zero scratch row for `layout`.
-    pub fn for_layout(layout: RowLayout) -> RowBuf {
-        match layout {
-            RowLayout::Fixed64 => RowBuf::Inline([0; 2], 1),
-            RowLayout::Fixed128 => RowBuf::Inline([0; 2], 2),
-            RowLayout::MultiWord { words } => RowBuf::Spilled(vec![0; words]),
-        }
-    }
-
-    /// The row words.
-    #[inline]
-    pub fn as_slice(&self) -> &[usize] {
-        match self {
-            RowBuf::Inline(words, n) => &words[..*n],
-            RowBuf::Spilled(words) => words,
-        }
-    }
-
-    /// The row words, mutably.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [usize] {
-        match self {
-            RowBuf::Inline(words, n) => &mut words[..*n],
-            RowBuf::Spilled(words) => words,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -255,7 +206,7 @@ pub fn debug_assert_tail_clear(words: &[usize], bits: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Plain (non-atomic) kernels
+// Row kernels
 
 /// `dst |= src`, reporting whether `dst` changed.
 ///
@@ -414,8 +365,8 @@ pub fn is_disjoint(a: &[usize], b: &[usize]) -> bool {
 ///
 /// Walks word-major across all sources — each destination word is
 /// loaded and stored exactly once no matter how many sources feed it,
-/// and no block transpose is materialized. This is what a traversal
-/// tile uses when several finalized rows flow into one representative.
+/// and no block transpose is materialized: the kernel for several
+/// finalized rows flowing into one destination row.
 ///
 /// # Panics
 ///
@@ -475,58 +426,6 @@ fn or_wide_scalar(dst: &mut [usize], src: &[usize]) -> bool {
         *d |= s;
     }
     fresh != 0
-}
-
-// ---------------------------------------------------------------------------
-// Atomic kernels (relaxed ordering; see `atomic.rs` for the discipline)
-
-/// `dst |= src` over atomic destination words, reporting whether `dst`
-/// changed. Zero source words are skipped: a `fetch_or(0)` still dirties
-/// the cache line, and look-ahead rows are sparse.
-///
-/// Processes `min(dst.len(), src.len())` words by contract with the
-/// callers in `atomic.rs`, which slice both sides to the row width.
-#[inline]
-pub fn fetch_or_atomic(dst: &[AtomicUsize], src: &[usize]) -> bool {
-    let mut changed = false;
-    for (d, &s) in dst.iter().zip(src) {
-        if s != 0 {
-            let prev = d.fetch_or(s, Ordering::Relaxed);
-            changed |= s & !prev != 0;
-        }
-    }
-    changed
-}
-
-/// `dst |= src` where both rows are atomic (relaxed load on the source
-/// side; the source must be finalized in an earlier epoch).
-#[inline]
-pub fn fetch_or_atomic_rows(dst: &[AtomicUsize], src: &[AtomicUsize]) -> bool {
-    let mut changed = false;
-    for (d, s) in dst.iter().zip(src) {
-        let sv = s.load(Ordering::Relaxed);
-        if sv != 0 {
-            let prev = d.fetch_or(sv, Ordering::Relaxed);
-            changed |= sv & !prev != 0;
-        }
-    }
-    changed
-}
-
-/// `dst := src` over atomic rows (relaxed load + store per word).
-#[inline]
-pub fn copy_atomic_rows(dst: &[AtomicUsize], src: &[AtomicUsize]) {
-    for (d, s) in dst.iter().zip(src) {
-        d.store(s.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-}
-
-/// Copies an atomic row into a plain buffer (relaxed loads).
-#[inline]
-pub fn read_atomic(src: &[AtomicUsize], dst: &mut [usize]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = s.load(Ordering::Relaxed);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -779,51 +678,6 @@ mod tests {
                 assert_eq!(want_changed, got_changed, "width {n}, {k} sources");
             }
         }
-    }
-
-    #[test]
-    fn atomic_kernels_match_plain() {
-        for n in 1..=5 {
-            let src = words(13, n);
-            let init = words(29, n);
-            let dst: Vec<AtomicUsize> = init.iter().map(|&w| AtomicUsize::new(w)).collect();
-            let mut want = init.clone();
-            let rw = or_reference(&mut want, &src);
-            let rg = fetch_or_atomic(&dst, &src);
-            let got: Vec<usize> = dst.iter().map(|w| w.load(Ordering::Relaxed)).collect();
-            assert_eq!(want, got, "width {n}");
-            assert_eq!(rw, rg, "width {n}");
-
-            let other: Vec<AtomicUsize> = src.iter().map(|&w| AtomicUsize::new(w)).collect();
-            let dst2: Vec<AtomicUsize> = init.iter().map(|&w| AtomicUsize::new(w)).collect();
-            assert_eq!(fetch_or_atomic_rows(&dst2, &other), rw, "width {n}");
-            let got2: Vec<usize> = dst2.iter().map(|w| w.load(Ordering::Relaxed)).collect();
-            assert_eq!(want, got2, "width {n}");
-
-            let mut buf = vec![0; n];
-            read_atomic(&dst2, &mut buf);
-            assert_eq!(buf, want, "width {n}");
-            copy_atomic_rows(&other, &dst2);
-            let got3: Vec<usize> = other.iter().map(|w| w.load(Ordering::Relaxed)).collect();
-            assert_eq!(got3, want, "width {n}");
-        }
-    }
-
-    #[test]
-    fn row_buf_honors_layout_storage() {
-        let mut w1 = RowBuf::for_layout(RowLayout::Fixed64);
-        assert_eq!(w1.as_slice(), &[0]);
-        w1.as_mut_slice()[0] = 7;
-        assert_eq!(w1.as_slice(), &[7]);
-        assert!(matches!(w1, RowBuf::Inline(..)));
-
-        let w2 = RowBuf::for_layout(RowLayout::Fixed128);
-        assert_eq!(w2.as_slice(), &[0, 0]);
-        assert!(matches!(w2, RowBuf::Inline(..)));
-
-        let wide = RowBuf::for_layout(RowLayout::MultiWord { words: 5 });
-        assert_eq!(wide.as_slice().len(), 5);
-        assert!(matches!(wide, RowBuf::Spilled(..)));
     }
 
     #[test]

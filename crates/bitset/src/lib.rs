@@ -31,20 +31,16 @@
 #![cfg_attr(feature = "simd", deny(unsafe_code))]
 #![warn(missing_docs)]
 
-mod atomic;
 mod bitset;
 mod matrix;
 mod refset;
-mod shard;
 
 pub mod kernels;
 
-pub use atomic::AtomicBitMatrix;
 pub use bitset::{BitSet, Iter};
-pub use kernels::{dispatch_name, simd_compiled, tile_rows, RowBuf, RowLayout};
+pub use kernels::{dispatch_name, simd_compiled, tile_rows, RowLayout};
 pub use matrix::BitMatrix;
 pub use refset::{BitSetRef, RefIter};
-pub use shard::RowsMut;
 
 pub(crate) const BITS: usize = usize::BITS as usize;
 

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use crate::kernels::{self, RowLayout};
-use crate::shard::RowsMut;
 use crate::{words_for, BITS};
 
 /// A rectangular bit matrix: `rows` rows, each a bit set over `0..cols`.
@@ -253,82 +252,6 @@ impl BitMatrix {
     /// Panics if `row` is out of range.
     pub fn row_to_bitset(&self, row: usize) -> crate::BitSet {
         crate::BitSet::from_indices(self.cols, self.iter_row(row))
-    }
-
-    /// Builds a matrix directly from its raw word storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words.len()` is not exactly `rows * words_for(cols)`.
-    pub(crate) fn from_raw(words: Vec<usize>, rows: usize, cols: usize) -> Self {
-        let row_words = words_for(cols);
-        assert_eq!(
-            words.len(),
-            rows * row_words,
-            "raw storage must hold exactly rows * row_words words"
-        );
-        BitMatrix {
-            words,
-            rows,
-            cols,
-            row_words,
-        }
-    }
-
-    /// Splits the matrix into two mutable views: rows `0..mid` and
-    /// `mid..rows`.
-    ///
-    /// Both views address rows by their *global* index, so code written
-    /// against [`RowsMut`] does not change when the split point moves. The
-    /// views borrow disjoint word ranges, so both can be mutated at once
-    /// (e.g. from two scoped threads).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mid > rows`.
-    pub fn split_rows_mut(&mut self, mid: usize) -> (RowsMut<'_>, RowsMut<'_>) {
-        assert!(
-            mid <= self.rows,
-            "split point {mid} out of range 0..={}",
-            self.rows
-        );
-        let (lo, hi) = self.words.split_at_mut(mid * self.row_words);
-        (
-            RowsMut::new(lo, 0, mid, self.row_words, self.cols),
-            RowsMut::new(hi, mid, self.rows - mid, self.row_words, self.cols),
-        )
-    }
-
-    /// Partitions the matrix into exactly `parts` contiguous mutable row
-    /// bands of near-equal size (the first `rows % parts` bands hold one
-    /// extra row; trailing bands may be empty when `parts > rows`).
-    ///
-    /// The band list is the write side of a fork/join scatter: hand band
-    /// `i` to worker `i`, let each worker fill only its own rows, and join.
-    /// Disjointness is guaranteed by construction — each [`RowsMut`] owns a
-    /// non-overlapping `&mut` word range — so no synchronization is needed
-    /// beyond the join itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts == 0`.
-    pub fn partition_rows_mut(&mut self, parts: usize) -> Vec<RowsMut<'_>> {
-        assert!(parts > 0, "cannot partition into zero bands");
-        let base = self.rows / parts;
-        let extra = self.rows % parts;
-        let row_words = self.row_words;
-        let cols = self.cols;
-        let mut bands = Vec::with_capacity(parts);
-        let mut rest: &mut [usize] = &mut self.words;
-        let mut start = 0;
-        for i in 0..parts {
-            let len = base + usize::from(i < extra);
-            let (band, tail) = rest.split_at_mut(len * row_words);
-            bands.push(RowsMut::new(band, start, len, row_words, cols));
-            start += len;
-            rest = tail;
-        }
-        bands
     }
 
     /// Reflexive-transitive closure interpretation: treats the matrix as an

@@ -91,29 +91,6 @@ proptest! {
         prop_assert_eq!(m.row_to_bitset(2), a);
     }
 
-    /// The atomic lane (`fetch_or_row` / `union_row_from`) is
-    /// bit-identical to the plain matrix lane.
-    #[test]
-    fn atomic_kernels_match_plain_matrix(
-        input in universe().prop_flat_map(|bits| {
-            (Just(bits), (set_with_mirror(bits), set_with_mirror(bits)))
-        })
-    ) {
-        let (bits, ((a, _), (b, _))) = input.clone();
-        let mut m = BitMatrix::new(2, bits);
-        for i in &a {
-            m.set(0, i);
-        }
-        for i in &b {
-            m.set(1, i);
-        }
-        let atomic = lalr_bitset::AtomicBitMatrix::from_matrix(&m);
-        let plain_changed = m.union_rows(0, 1);
-        let atomic_changed = atomic.union_row_from(0, 1);
-        prop_assert_eq!(atomic_changed, plain_changed);
-        prop_assert_eq!(atomic.into_matrix(), m);
-    }
-
     /// Query kernels (popcount / subset / disjoint) across the owned,
     /// borrowed and matrix-row paths all agree with index arithmetic.
     #[test]

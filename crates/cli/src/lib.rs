@@ -31,7 +31,7 @@
 use std::fmt::Write as _;
 
 use lalr_automata::Lr0Automaton;
-use lalr_core::{classify_with, LalrAnalysis, Parallelism};
+use lalr_core::{classify, LalrAnalysis, Parallelism};
 use lalr_grammar::{Grammar, GrammarStats};
 use lalr_runtime::{Lexer, Parser};
 use lalr_tables::{build_table, TableOptions};
@@ -61,20 +61,21 @@ fn fail(message: impl Into<String>) -> CliError {
 }
 
 /// Usage text.
-pub const USAGE: &str = "usage: lalrgen <command> <grammar> [args] [--threads N]
+pub const USAGE: &str = "usage: lalrgen <command> <grammar> [args]
   commands: analyze, explain, classify, states, table, dot, codegen,
             sentences, check, parse, profile, serve, store, client, stats,
             trace, top
   <grammar> is a file path or a corpus name (try: expr, json, pascal, c_subset)
-  --threads N runs the look-ahead pipeline on N worker threads (same output, faster on large grammars)
   profile <grammar> [--trace-out FILE]   per-phase wall/alloc breakdown of the
          grammar -> LA pipeline; --trace-out writes a Chrome trace (chrome://tracing)
-  serve  [--addr A] [--cache-mb N] [--max-conn N] [--deadline-ms N] [--max-pending N]
-         [--drain-ms N] [--chaos SPEC] [--chaos-seed N] [--store DIR] [--no-store]
-         [--shards N] [--trace-sample N] [--trace-capacity N]
-         [--max-conn-per-peer N] [--rate-limit N] [--rate-burst N]
-         [--write-budget-ms N] [--reject-timeout-ms N]
+  serve  [--addr A] [--threads N] [--cache-mb N] [--max-conn N] [--deadline-ms N]
+         [--max-pending N] [--drain-ms N] [--chaos SPEC] [--chaos-seed N]
+         [--store DIR] [--no-store] [--shards N] [--trace-sample N]
+         [--trace-capacity N] [--max-conn-per-peer N] [--rate-limit N]
+         [--rate-burst N] [--write-budget-ms N] [--reject-timeout-ms N]
          run the compile daemon
+         --threads N sizes the worker pool (default: one worker per CPU);
+         each worker runs one compile at a time, sequentially
          --chaos arms deterministic failpoints, e.g. \"daemon.write:partial:0.05\"
          --store persists compiled artifacts to DIR (mmap-loaded on repeat
          requests, surviving restarts); --no-store wins over --store
@@ -129,48 +130,23 @@ pub fn load_grammar(arg: &str) -> Result<Grammar, CliError> {
     parsed.map_err(|e| fail(format!("{arg}: {e}")))
 }
 
-/// Extracts a global `--threads N` flag (anywhere after the command) and
-/// returns the remaining arguments plus the resulting configuration.
-fn extract_parallelism(args: &[String]) -> Result<(Vec<String>, Parallelism), CliError> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut parallelism = Parallelism::sequential();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--threads" {
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| fail("--threads needs a count"))?;
-            let n: usize = value
-                .parse()
-                .map_err(|_| fail(format!("bad thread count {value:?}")))?;
-            parallelism = Parallelism::new(n);
-            i += 2;
-        } else {
-            rest.push(args[i].clone());
-            i += 1;
-        }
-    }
-    Ok((rest, parallelism))
-}
-
 /// Dispatches a full argument vector (without `argv[0]`).
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    let (args, par) = extract_parallelism(args)?;
     let cmd = args.first().map(String::as_str).unwrap_or("");
     let rest = args.get(1..).unwrap_or(&[]);
     match cmd {
-        "analyze" => cmd_analyze(rest, &par),
-        "explain" => cmd_explain(rest, &par),
-        "classify" => cmd_classify(rest, &par),
-        "states" => cmd_states(rest, &par),
-        "table" => cmd_table(rest, &par),
+        "analyze" => cmd_analyze(rest),
+        "explain" => cmd_explain(rest),
+        "classify" => cmd_classify(rest),
+        "states" => cmd_states(rest),
+        "table" => cmd_table(rest),
         "dot" => cmd_dot(rest),
-        "codegen" => cmd_codegen(rest, &par),
+        "codegen" => cmd_codegen(rest),
         "sentences" => cmd_sentences(rest),
-        "check" => cmd_check(rest, &par),
-        "parse" => cmd_parse(rest, &par),
-        "profile" => cmd_profile(rest, &par),
-        "serve" => cmd_serve(rest, &par),
+        "check" => cmd_check(rest),
+        "parse" => cmd_parse(rest),
+        "profile" => cmd_profile(rest),
+        "serve" => cmd_serve(rest),
         "store" => cmd_store(rest),
         "client" => cmd_client(rest),
         "stats" => cmd_stats(rest),
@@ -191,12 +167,12 @@ fn grammar_arg<'a>(args: &'a [String], what: &str) -> Result<&'a str, CliError> 
     })
 }
 
-fn cmd_analyze(args: &[String], par: &Parallelism) -> Result<String, CliError> {
+fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
     let name = grammar_arg(args, "analyze")?;
     let grammar = load_grammar(name)?;
     let stats = GrammarStats::compute(&grammar);
     let lr0 = Lr0Automaton::build(&grammar);
-    let analysis = LalrAnalysis::compute_with(&grammar, &lr0, par);
+    let analysis = LalrAnalysis::compute(&grammar, &lr0);
     let rs = analysis.relation_stats();
     let conflicts = analysis.conflicts(&grammar, &lr0);
 
@@ -274,10 +250,10 @@ fn cmd_analyze(args: &[String], par: &Parallelism) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_classify(args: &[String], par: &Parallelism) -> Result<String, CliError> {
+fn cmd_classify(args: &[String]) -> Result<String, CliError> {
     let name = grammar_arg(args, "classify")?;
     let grammar = load_grammar(name)?;
-    let m = classify_with(&grammar, par);
+    let m = classify(&grammar);
     Ok(format!(
         "{name}: {} (conflicts lr0={} slr={} nqlalr={} lalr={} lr1={}{})\n",
         m.class,
@@ -292,12 +268,12 @@ fn cmd_classify(args: &[String], par: &Parallelism) -> Result<String, CliError> 
 
 /// Explains every conflict with a viable prefix and the relation chains
 /// that carry the offending terminal (see `lalr_core::explain_conflict`).
-fn cmd_explain(args: &[String], par: &Parallelism) -> Result<String, CliError> {
+fn cmd_explain(args: &[String]) -> Result<String, CliError> {
     let name = grammar_arg(args, "explain")?;
     let grammar = load_grammar(name)?;
     let lr0 = Lr0Automaton::build(&grammar);
     let relations = lalr_core::Relations::build(&grammar, &lr0);
-    let analysis = LalrAnalysis::compute_with(&grammar, &lr0, par);
+    let analysis = LalrAnalysis::compute(&grammar, &lr0);
     let conflicts = analysis.conflicts(&grammar, &lr0);
     if conflicts.is_empty() {
         return Ok(format!("{name}: no LALR(1) conflicts\n"));
@@ -318,11 +294,11 @@ fn cmd_explain(args: &[String], par: &Parallelism) -> Result<String, CliError> {
 
 /// The yacc `y.output` analogue: every state with its kernel items,
 /// look-ahead-annotated reductions, and transitions.
-fn cmd_states(args: &[String], par: &Parallelism) -> Result<String, CliError> {
+fn cmd_states(args: &[String]) -> Result<String, CliError> {
     let name = grammar_arg(args, "states")?;
     let grammar = load_grammar(name)?;
     let lr0 = Lr0Automaton::build(&grammar);
-    let analysis = LalrAnalysis::compute_with(&grammar, &lr0, par);
+    let analysis = LalrAnalysis::compute(&grammar, &lr0);
     let la = analysis.lookaheads();
 
     let mut out = String::new();
@@ -362,11 +338,11 @@ fn cmd_states(args: &[String], par: &Parallelism) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_table(args: &[String], par: &Parallelism) -> Result<String, CliError> {
+fn cmd_table(args: &[String]) -> Result<String, CliError> {
     let name = grammar_arg(args, "table")?;
     let grammar = load_grammar(name)?;
     let lr0 = Lr0Automaton::build(&grammar);
-    let analysis = LalrAnalysis::compute_with(&grammar, &lr0, par);
+    let analysis = LalrAnalysis::compute(&grammar, &lr0);
     let table = build_table(
         &grammar,
         &lr0,
@@ -397,12 +373,12 @@ fn cmd_dot(args: &[String]) -> Result<String, CliError> {
     Ok(Lr0Automaton::build(&grammar).to_dot(&grammar))
 }
 
-fn cmd_codegen(args: &[String], par: &Parallelism) -> Result<String, CliError> {
+fn cmd_codegen(args: &[String]) -> Result<String, CliError> {
     let name = grammar_arg(args, "codegen")?;
     let grammar = load_grammar(name)?;
     let module = args.get(1).map(String::as_str).unwrap_or("parser");
     let lr0 = Lr0Automaton::build(&grammar);
-    let analysis = LalrAnalysis::compute_with(&grammar, &lr0, par);
+    let analysis = LalrAnalysis::compute(&grammar, &lr0);
     let table = build_table(
         &grammar,
         &lr0,
@@ -434,7 +410,7 @@ fn cmd_sentences(args: &[String]) -> Result<String, CliError> {
 /// Runs a case file: each non-comment line is `+ tokens…` (must accept)
 /// or `- tokens…` (must reject); tokens are whitespace-separated terminal
 /// names. Exit is nonzero when any case fails.
-fn cmd_check(args: &[String], par: &Parallelism) -> Result<String, CliError> {
+fn cmd_check(args: &[String]) -> Result<String, CliError> {
     let name = grammar_arg(args, "check")?;
     let grammar = load_grammar(name)?;
     let cases_path = args
@@ -444,7 +420,7 @@ fn cmd_check(args: &[String], par: &Parallelism) -> Result<String, CliError> {
         .map_err(|e| fail(format!("cannot read {cases_path:?}: {e}")))?;
 
     let lr0 = Lr0Automaton::build(&grammar);
-    let analysis = LalrAnalysis::compute_with(&grammar, &lr0, par);
+    let analysis = LalrAnalysis::compute(&grammar, &lr0);
     let table = build_table(
         &grammar,
         &lr0,
@@ -506,7 +482,7 @@ fn cmd_check(args: &[String], par: &Parallelism) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_parse(args: &[String], par: &Parallelism) -> Result<String, CliError> {
+fn cmd_parse(args: &[String]) -> Result<String, CliError> {
     let name = grammar_arg(args, "parse")?;
     let input = args
         .get(1)
@@ -551,7 +527,7 @@ fn cmd_parse(args: &[String], par: &Parallelism) -> Result<String, CliError> {
 
     let grammar = load_grammar(name)?;
     let lr0 = Lr0Automaton::build(&grammar);
-    let analysis = LalrAnalysis::compute_with(&grammar, &lr0, par);
+    let analysis = LalrAnalysis::compute(&grammar, &lr0);
     let table = build_table(
         &grammar,
         &lr0,
@@ -631,7 +607,7 @@ fn parse_remote(name: &str, input: &str, addr: &str) -> Result<String, CliError>
 /// allocator from `lalr-bench` is linked into this binary, so the alloc
 /// columns are real). `--trace-out FILE` additionally writes the run as
 /// Chrome trace JSON, loadable in `chrome://tracing` or Perfetto.
-fn cmd_profile(args: &[String], par: &Parallelism) -> Result<String, CliError> {
+fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     let name = grammar_arg(args, "profile")?;
     let mut trace_out: Option<&str> = None;
     let mut i = 1;
@@ -643,7 +619,7 @@ fn cmd_profile(args: &[String], par: &Parallelism) -> Result<String, CliError> {
             }
             other => {
                 return Err(fail(format!(
-                    "unknown flag {other:?} for profile (available: --trace-out, --threads)"
+                    "unknown flag {other:?} for profile (available: --trace-out)"
                 )))
             }
         }
@@ -656,17 +632,16 @@ fn cmd_profile(args: &[String], par: &Parallelism) -> Result<String, CliError> {
         load_grammar(name)?
     };
     let lr0 = Lr0Automaton::build_recorded(&grammar, &rec);
-    let analysis = LalrAnalysis::compute_recorded(&grammar, &lr0, par, &rec);
+    let analysis = LalrAnalysis::compute_recorded(&grammar, &lr0, &rec);
     let wall_ns = (wall.elapsed().as_nanos() as u64).max(1);
     let report = rec.report();
 
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "profile {name}: {} lr0 states, {} reduction look-ahead sets, {} worker thread(s)",
+        "profile {name}: {} lr0 states, {} reduction look-ahead sets",
         lr0.state_count(),
         analysis.lookaheads().reduction_count(),
-        par.threads().max(1),
     );
     out.push_str(&report.to_text());
     let coverage = 100.0 * report.phase_sum_ns() as f64 / wall_ns as f64;
@@ -726,16 +701,17 @@ fn grammar_text(arg: &str) -> Result<(String, lalr_service::GrammarFormat), CliE
 /// `shutdown` request (or a bind error). The bound address is announced
 /// on stderr immediately — with `--addr 127.0.0.1:0` that line is how
 /// callers learn the picked port.
-fn cmd_serve(args: &[String], par: &Parallelism) -> Result<String, CliError> {
-    const FLAGS: &str = "--addr, --cache-mb, --max-conn, --deadline-ms, --max-pending, \
-                         --drain-ms, --chaos, --chaos-seed, --store, --no-store, \
-                         --shards, --trace-sample, --trace-capacity, \
+fn cmd_serve(args: &[String]) -> Result<String, CliError> {
+    const FLAGS: &str = "--addr, --threads, --cache-mb, --max-conn, --deadline-ms, \
+                         --max-pending, --drain-ms, --chaos, --chaos-seed, --store, \
+                         --no-store, --shards, --trace-sample, --trace-capacity, \
                          --max-conn-per-peer, --rate-limit, --rate-burst, \
-                         --write-budget-ms, --reject-timeout-ms, --threads";
+                         --write-budget-ms, --reject-timeout-ms";
     let mut config = lalr_service::DaemonConfig {
         addr: DEFAULT_ADDR.to_string(),
         ..lalr_service::DaemonConfig::default()
     };
+    let mut threads: Option<usize> = None;
     let mut cache_mb: usize = 64;
     let mut deadline_ms: Option<u64> = None;
     let mut chaos_spec: Option<String> = None;
@@ -766,6 +742,9 @@ fn cmd_serve(args: &[String], par: &Parallelism) -> Result<String, CliError> {
                     num_flag(flag_value(args, i, "--trace-capacity")?, "--trace-capacity")?
             }
             "--addr" => config.addr = flag_value(args, i, "--addr")?.to_string(),
+            "--threads" => {
+                threads = Some(num_flag(flag_value(args, i, "--threads")?, "--threads")?)
+            }
             "--cache-mb" => cache_mb = num_flag(flag_value(args, i, "--cache-mb")?, "--cache-mb")?,
             "--max-conn" => {
                 config.max_connections = num_flag(flag_value(args, i, "--max-conn")?, "--max-conn")?
@@ -834,13 +813,9 @@ fn cmd_serve(args: &[String], par: &Parallelism) -> Result<String, CliError> {
         config.faults = faults.clone();
         config.service.faults = faults;
     }
-    // `--threads` sizes the worker pool; without it a server uses every
-    // core (unlike the one-shot commands, which default to sequential).
-    config.service.workers = if par.is_parallel() {
-        *par
-    } else {
-        Parallelism::available()
-    };
+    // `--threads` sizes the worker pool; without it a server runs one
+    // worker per CPU.
+    config.service.workers = threads.map_or_else(Parallelism::available, Parallelism::new);
     config.service.cache =
         (cache_mb > 0).then(|| lalr_service::CacheConfig::with_budget(cache_mb << 20));
     config.service.default_deadline = deadline_ms.map(std::time::Duration::from_millis);
@@ -1611,19 +1586,18 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_does_not_change_output() {
-        for cmd in ["analyze", "classify", "states", "table"] {
-            let seq = run_strs(&[cmd, "expr"]).unwrap();
-            let par = run_strs(&[cmd, "expr", "--threads", "4"]).unwrap();
-            assert_eq!(seq, par, "{cmd} output must not depend on --threads");
-        }
-        // The flag is position-independent and validated.
-        let out = run_strs(&["--threads", "2", "classify", "expr"]).unwrap();
-        assert!(out.contains("SLR(1)"), "{out}");
-        let err = run_strs(&["classify", "expr", "--threads", "lots"]).unwrap_err();
-        assert!(err.message.contains("bad thread count"), "{}", err.message);
-        let err = run_strs(&["classify", "expr", "--threads"]).unwrap_err();
-        assert!(err.message.contains("needs a count"), "{}", err.message);
+    fn threads_is_a_serve_flag_only() {
+        // A compile is sequential, so one-shot commands take no thread
+        // count: a leading `--threads` is an unknown command…
+        let err = run_strs(&["--threads", "2", "classify", "expr"]).unwrap_err();
+        assert_eq!(err.code, 2, "{}", err.message);
+        assert!(err.message.contains("unknown command"), "{}", err.message);
+        // …and an unknown flag where a command checks its flags.
+        let err = run_strs(&["profile", "expr", "--threads", "2"]).unwrap_err();
+        assert!(err.message.contains("unknown flag"), "{}", err.message);
+        // `serve` validates its own worker count.
+        let err = run_strs(&["serve", "--threads", "lots"]).unwrap_err();
+        assert!(err.message.contains("--threads"), "{}", err.message);
     }
 
     #[test]

@@ -28,13 +28,14 @@ fn unknown_command_exits_two() {
 
 /// The full daemon lifecycle through the binary alone: serve on an
 /// ephemeral port, compile through the client (cold then warm), read
-/// stats, shut down in-band, and verify the server exits zero.
+/// stats, shut down in-band, and verify the server exits zero. The pool
+/// runs exactly the `--threads` workers asked for.
 #[test]
 fn serve_client_stats_shutdown_round_trip() {
     use std::io::BufRead;
 
     let mut server = Command::new(env!("CARGO_BIN_EXE_lalrgen"))
-        .args(["serve", "--addr", "127.0.0.1:0", "--threads", "2"])
+        .args(["serve", "--addr", "127.0.0.1:0", "--threads", "1"])
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .spawn()
@@ -72,6 +73,7 @@ fn serve_client_stats_shutdown_round_trip() {
     assert!(stats.status.success());
     let stats = String::from_utf8_lossy(&stats.stdout);
     assert!(stats.contains("\"hits\":"), "{stats}");
+    assert!(stats.contains("\"workers\":1"), "{stats}");
 
     client(&["shutdown"]);
     let status = server.wait().expect("server exits");

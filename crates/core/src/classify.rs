@@ -3,10 +3,11 @@
 use lalr_automata::{Lr0Automaton, Lr1Automaton};
 use lalr_grammar::Grammar;
 
-use crate::conflicts::find_conflicts;
+use crate::conflicts::conflict_count;
 use crate::engine::LalrAnalysis;
 use crate::lookahead::LookaheadSets;
 use crate::nqlalr::NqlalrAnalysis;
+use crate::parallel::Parallelism;
 use crate::slr::slr_lookaheads;
 
 /// The strongest class in `LR(0) ⊂ SLR(1) ⊂ LALR(1) ⊂ LR(1)` a grammar
@@ -61,7 +62,7 @@ pub struct MethodAdequacy {
 /// An LR(0)-style look-ahead assignment: every reduction answers to the
 /// full terminal alphabet (so any state with a reduction plus anything else
 /// conflicts).
-fn lr0_lookaheads(grammar: &Grammar, lr0: &Lr0Automaton) -> LookaheadSets {
+pub(crate) fn lr0_lookaheads(grammar: &Grammar, lr0: &Lr0Automaton) -> LookaheadSets {
     let mut las = LookaheadSets::for_automaton(lr0, grammar.terminal_count());
     let full = lalr_bitset::BitSet::full(grammar.terminal_count());
     for state in lr0.states() {
@@ -94,34 +95,22 @@ fn lr0_lookaheads(grammar: &Grammar, lr0: &Lr0Automaton) -> LookaheadSets {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn classify(grammar: &Grammar) -> MethodAdequacy {
-    classify_with(grammar, &crate::Parallelism::sequential())
-}
-
-/// Like [`classify`], but when more than one thread is configured the
-/// remaining methods run concurrently once the DeRemer–Pennello analysis
-/// and its conflict count are in: the LR(0)/SLR/NQLALR baselines and,
-/// when needed, the canonical-LR(1) build are independent, so each gets
-/// its own scoped thread. Counts and classification are identical to the
-/// sequential run.
-pub fn classify_with(grammar: &Grammar, parallelism: &crate::Parallelism) -> MethodAdequacy {
     let lr0 = Lr0Automaton::build(grammar);
-    let analysis = LalrAnalysis::compute_with(grammar, &lr0, parallelism);
-    classify_from(grammar, &lr0, &analysis, parallelism)
+    let analysis = LalrAnalysis::compute(grammar, &lr0);
+    classify_inner(grammar, &lr0, &analysis, &lalr_obs::NULL)
 }
 
 /// Recorded analogue of [`classify_from`]: each method runs inside its own
 /// span (`classify.lalr`, `classify.lr0`, `classify.slr`,
 /// `classify.nqlalr`, and `classify.lr1` when the LR(1) machine is
-/// built). Under the parallel fan the method spans land on their worker
-/// threads, which per-thread span stacks keep well-nested.
+/// built).
 pub fn classify_recorded(
     grammar: &Grammar,
     lr0: &Lr0Automaton,
     analysis: &LalrAnalysis,
-    parallelism: &crate::Parallelism,
     rec: &dyn lalr_obs::Recorder,
 ) -> MethodAdequacy {
-    classify_inner(grammar, lr0, analysis, parallelism, rec)
+    classify_inner(grammar, lr0, analysis, rec)
 }
 
 /// Classifies from a prebuilt LR(0) automaton and DeRemer–Pennello
@@ -131,67 +120,51 @@ pub fn classify_recorded(
 /// LALR(1) count is non-zero — with no LALR(1) conflict there is no LR(1)
 /// conflict either (see [`classify`]), so `lr1_conflicts` is 0 exactly.
 /// This is what `lalr-service` uses so a compile never recomputes the
-/// automaton or the look-ahead sets; [`classify_with`] is a thin wrapper
-/// over it and the counts are identical either way.
+/// automaton or the look-ahead sets; the counts are identical to
+/// [`classify`]'s.
+///
+/// `_parallelism` is ignored — the methods always run one after another.
+/// The argument remains only so existing callers build unchanged.
 pub fn classify_from(
     grammar: &Grammar,
     lr0: &Lr0Automaton,
     analysis: &LalrAnalysis,
-    parallelism: &crate::Parallelism,
+    _parallelism: &Parallelism,
 ) -> MethodAdequacy {
-    classify_inner(grammar, lr0, analysis, parallelism, &lalr_obs::NULL)
+    classify_inner(grammar, lr0, analysis, &lalr_obs::NULL)
 }
 
+/// Counts each method's conflicts with [`conflict_count`], which never
+/// materialises them: a grammar can have millions of raw conflicts.
 fn classify_inner(
     grammar: &Grammar,
     lr0: &Lr0Automaton,
     analysis: &LalrAnalysis,
-    parallelism: &crate::Parallelism,
     rec: &dyn lalr_obs::Recorder,
 ) -> MethodAdequacy {
     let lalr_c = {
         let _span = lalr_obs::span(rec, "classify.lalr");
-        analysis.conflicts(grammar, lr0).len()
+        conflict_count(lr0, analysis.lookaheads())
+    };
+    let lr0_c = {
+        let _span = lalr_obs::span(rec, "classify.lr0");
+        conflict_count(lr0, &lr0_lookaheads(grammar, lr0))
+    };
+    let slr_c = {
+        let _span = lalr_obs::span(rec, "classify.slr");
+        conflict_count(lr0, &slr_lookaheads(grammar, lr0))
+    };
+    let nq_c = {
+        let _span = lalr_obs::span(rec, "classify.nqlalr");
+        conflict_count(lr0, NqlalrAnalysis::compute(grammar, lr0).lookaheads())
     };
     // LALR(1)-adequate means LR(1)-adequate: build the canonical machine
     // only when its conflict count is not already known to be 0.
-    let needs_lr1 = lalr_c > 0;
-    let lr1 = move || {
+    let lr1_c = if lalr_c > 0 {
         let _span = lalr_obs::span(rec, "classify.lr1");
         Lr1Automaton::build(grammar).conflict_count()
-    };
-    let lr0_m = move || {
-        let _span = lalr_obs::span(rec, "classify.lr0");
-        find_conflicts(grammar, lr0, &lr0_lookaheads(grammar, lr0)).len()
-    };
-    let slr = move || {
-        let _span = lalr_obs::span(rec, "classify.slr");
-        find_conflicts(grammar, lr0, &slr_lookaheads(grammar, lr0)).len()
-    };
-    let nqlalr = move || {
-        let _span = lalr_obs::span(rec, "classify.nqlalr");
-        find_conflicts(
-            grammar,
-            lr0,
-            NqlalrAnalysis::compute(grammar, lr0).lookaheads(),
-        )
-        .len()
-    };
-    let (lr0_c, slr_c, nq_c, lr1_c) = if parallelism.is_parallel() {
-        std::thread::scope(|scope| {
-            let lr1_h = needs_lr1.then(|| scope.spawn(lr1));
-            let lr0_h = scope.spawn(lr0_m);
-            let slr_h = scope.spawn(slr);
-            let nq_c = nqlalr();
-            (
-                lr0_h.join().expect("lr0 baseline panicked"),
-                slr_h.join().expect("slr baseline panicked"),
-                nq_c,
-                lr1_h.map_or(0, |h| h.join().expect("lr1 build panicked")),
-            )
-        })
     } else {
-        (lr0_m(), slr(), nqlalr(), if needs_lr1 { lr1() } else { 0 })
+        0
     };
 
     let class = if lr0_c == 0 {

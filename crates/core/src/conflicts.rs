@@ -131,6 +131,38 @@ pub fn find_conflicts(
     out
 }
 
+/// The number of conflicts [`find_conflicts`] reports, counted without
+/// building, sorting or storing them: per state, the shift/reduce count is
+/// how many shifted terminals each reduction's look-ahead set holds, and
+/// the reduce/reduce count is one intersection popcount per pair of
+/// reductions. Mirrors `Lr1Automaton::conflict_count`.
+pub(crate) fn conflict_count(lr0: &Lr0Automaton, lookaheads: &LookaheadSets) -> usize {
+    let mut count = 0;
+    for state in lr0.states() {
+        let reductions = lr0.reductions(state);
+        for (i, &p1) in reductions.iter().enumerate() {
+            let Some(la1) = lookaheads.la(state, p1) else {
+                continue;
+            };
+            count += lr0
+                .shift_symbols(state)
+                .filter(|t| la1.contains(t.index()))
+                .count();
+            for &p2 in &reductions[i + 1..] {
+                if let Some(la2) = lookaheads.la(state, p2) {
+                    count += la1
+                        .as_words()
+                        .iter()
+                        .zip(la2.as_words())
+                        .map(|(a, b)| (a & b).count_ones() as usize)
+                        .sum::<usize>();
+                }
+            }
+        }
+    }
+    count
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,5 +213,44 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(keys, sorted);
         assert!(cs.len() >= 4, "two binary ops, two conflict states each");
+    }
+
+    #[test]
+    fn conflict_count_equals_the_number_of_conflicts_found() {
+        use crate::classify::lr0_lookaheads;
+        use crate::nqlalr::NqlalrAnalysis;
+        use crate::slr::slr_lookaheads;
+        use lalr_corpus::synthetic::{random, RandomConfig};
+
+        let mut grammars: Vec<(String, Grammar)> = lalr_corpus::all_entries()
+            .iter()
+            .map(|e| (e.name.to_string(), e.grammar()))
+            .collect();
+        let nullable_heavy = RandomConfig {
+            epsilon_prob: 0.3,
+            ..RandomConfig::default()
+        };
+        for seed in 0..32 {
+            grammars.push((
+                format!("random{seed}"),
+                random(seed, RandomConfig::default()),
+            ));
+            grammars.push((format!("random{seed}/eps0.3"), random(seed, nullable_heavy)));
+        }
+        for (name, g) in &grammars {
+            let lr0 = Lr0Automaton::build(g);
+            for (method, la) in [
+                ("lr0", lr0_lookaheads(g, &lr0)),
+                ("slr", slr_lookaheads(g, &lr0)),
+                ("nqlalr", NqlalrAnalysis::compute(g, &lr0).into_lookaheads()),
+                ("lalr", LalrAnalysis::compute(g, &lr0).into_lookaheads()),
+            ] {
+                assert_eq!(
+                    conflict_count(&lr0, &la),
+                    find_conflicts(g, &lr0, &la).len(),
+                    "{name}: {method} conflict count"
+                );
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use lalr_automata::{Lr0Automaton, NtTransId};
 use lalr_bitset::{BitMatrix, BitSet};
-use lalr_digraph::{digraph, digraph_levels, digraph_levels_recorded, DigraphStats, Graph};
+use lalr_digraph::{digraph_counting, DigraphStats, Graph};
 use lalr_grammar::Grammar;
 use lalr_obs::Recorder;
 
@@ -43,40 +43,25 @@ pub struct LalrAnalysis {
 impl LalrAnalysis {
     /// Runs the complete computation: relations → `Read` → `Follow` → `LA`.
     pub fn compute(grammar: &Grammar, lr0: &Lr0Automaton) -> LalrAnalysis {
-        LalrAnalysis::compute_with(grammar, lr0, &Parallelism::sequential())
+        LalrAnalysis::compute_recorded(grammar, lr0, &lalr_obs::NULL)
     }
 
-    /// Runs the complete computation with the configured thread count.
-    ///
-    /// The relation build shards its per-transition loops and the two
-    /// Digraph passes run level-scheduled over the condensation
-    /// ([`lalr_digraph::digraph_levels`]); the resulting `Read`, `Follow`
-    /// and `LA` sets are bit-identical to the sequential pipeline's.
-    pub fn compute_with(
-        grammar: &Grammar,
-        lr0: &Lr0Automaton,
-        parallelism: &Parallelism,
-    ) -> LalrAnalysis {
-        LalrAnalysis::compute_recorded(grammar, lr0, parallelism, &lalr_obs::NULL)
-    }
-
-    /// [`LalrAnalysis::compute_with`] under an observer.
+    /// [`LalrAnalysis::compute`] under an observer.
     ///
     /// Phases are bracketed by spans (`relations.build`,
     /// `digraph.reads`, `digraph.includes`, `la.union`,
     /// `relations.stats`) and, when the recorder is enabled, the
-    /// structural pipeline counters (relation edges, SCC counts, level
-    /// widths, bitset OR operations, LA unions) are reported. With the
-    /// null recorder this is exactly [`LalrAnalysis::compute_with`] —
-    /// the enabled checks compile down to one indirect call per phase.
+    /// structural pipeline counters (relation edges, SCC counts, bitset
+    /// OR operations, LA unions) are reported. The recorder only
+    /// observes: enabled or not, the same traversals run, so a recorded
+    /// compile costs the plain one plus the recorder's own bookkeeping.
     pub fn compute_recorded(
         grammar: &Grammar,
         lr0: &Lr0Automaton,
-        parallelism: &Parallelism,
         rec: &dyn Recorder,
     ) -> LalrAnalysis {
-        let relations = Relations::build_parallel_recorded(grammar, lr0, parallelism, rec);
-        LalrAnalysis::from_relations_recorded(grammar, lr0, &relations, parallelism, rec)
+        let relations = Relations::build_recorded(grammar, lr0, rec);
+        LalrAnalysis::digraph_phases(grammar, lr0, &relations, rec)
     }
 
     /// Runs the Digraph phases over prebuilt relations (lets benchmarks
@@ -86,53 +71,46 @@ impl LalrAnalysis {
         lr0: &Lr0Automaton,
         relations: &Relations,
     ) -> LalrAnalysis {
-        LalrAnalysis::from_relations_with(grammar, lr0, relations, &Parallelism::sequential())
+        LalrAnalysis::digraph_phases(grammar, lr0, relations, &lalr_obs::NULL)
     }
 
-    /// Parallel analogue of [`LalrAnalysis::from_relations`].
-    pub fn from_relations_with(
-        grammar: &Grammar,
-        lr0: &Lr0Automaton,
-        relations: &Relations,
-        parallelism: &Parallelism,
-    ) -> LalrAnalysis {
-        LalrAnalysis::from_relations_recorded(grammar, lr0, relations, parallelism, &lalr_obs::NULL)
-    }
-
-    /// Recorded analogue of [`LalrAnalysis::from_relations_with`]; see
+    /// Recorded analogue of [`LalrAnalysis::from_relations`]; see
     /// [`LalrAnalysis::compute_recorded`] for the span and counter
     /// vocabulary.
+    ///
+    /// `_parallelism` is ignored — the phases always run sequentially.
+    /// The argument remains only so existing callers build unchanged.
     pub fn from_relations_recorded(
         grammar: &Grammar,
         lr0: &Lr0Automaton,
         relations: &Relations,
-        parallelism: &Parallelism,
+        _parallelism: &Parallelism,
         rec: &dyn Recorder,
     ) -> LalrAnalysis {
-        let threads = parallelism.threads();
+        LalrAnalysis::digraph_phases(grammar, lr0, relations, rec)
+    }
 
-        // One Digraph pass under a named span. When the recorder is
-        // enabled the counting traversal runs instead (identical result,
-        // plus union/level tallies reported under `prefix.*` counters).
+    fn digraph_phases(
+        grammar: &Grammar,
+        lr0: &Lr0Automaton,
+        relations: &Relations,
+        rec: &dyn Recorder,
+    ) -> LalrAnalysis {
+        // One Digraph pass under a named span. The counting traversal
+        // runs whatever the recorder; its union and SCC tallies are
+        // reported under `prefix.*` counters only when it is enabled.
         let traverse = |graph: &Graph,
                         sets: &mut BitMatrix,
                         name: &'static str,
-                        counters: &[&'static str; 4]|
+                        [or_ops, sccs]: [&'static str; 2]|
          -> DigraphStats {
             let _span = lalr_obs::span(rec, name);
+            let (stats, counts) = digraph_counting(graph, sets);
             if rec.is_enabled() {
-                let report = digraph_levels_recorded(graph, sets, threads, rec);
-                let [unions, sccs, levels, width] = *counters;
-                rec.add(unions, report.counts.unions);
-                rec.add(sccs, report.stats.scc_count as u64);
-                rec.add(levels, report.levels as u64);
-                rec.add(width, report.max_width as u64);
-                report.stats
-            } else if threads > 1 {
-                digraph_levels(graph, sets, threads)
-            } else {
-                digraph(graph, sets)
+                rec.add(or_ops, counts.unions);
+                rec.add(sccs, stats.scc_count as u64);
             }
+            stats
         };
 
         // Phase 1: Read = Digraph(reads, DR).
@@ -141,12 +119,7 @@ impl LalrAnalysis {
             relations.reads(),
             &mut read,
             "digraph.reads",
-            &[
-                "digraph.reads.or_ops",
-                "digraph.reads.sccs",
-                "digraph.reads.levels",
-                "digraph.reads.max_level_width",
-            ],
+            ["digraph.reads.or_ops", "digraph.reads.sccs"],
         );
 
         // Phase 2: Follow = Digraph(includes, Read).
@@ -155,12 +128,7 @@ impl LalrAnalysis {
             relations.includes(),
             &mut follow,
             "digraph.includes",
-            &[
-                "digraph.includes.or_ops",
-                "digraph.includes.sccs",
-                "digraph.includes.levels",
-                "digraph.includes.max_level_width",
-            ],
+            ["digraph.includes.or_ops", "digraph.includes.sccs"],
         );
 
         // Phase 3: LA(q, A→ω) = ⋃ Follow(p, A) over lookback. Pure dense
@@ -174,8 +142,7 @@ impl LalrAnalysis {
         );
         // Collect the lookback edges as (reduction row, Follow row) ops
         // and hand them to the batched kernel lane, which tiles the LA
-        // matrix to L2 and loads each hot Follow row once per tile (and
-        // fans out across threads when the op list is large enough).
+        // matrix to L2 and loads each hot Follow row once per tile.
         let mut la_reductions = 0u64;
         let mut la_ops: Vec<(u32, u32)> = Vec::new();
         for (rid, transitions) in relations.lookback_entries() {
@@ -185,7 +152,7 @@ impl LalrAnalysis {
                 la_ops.push((rid.index() as u32, t.index() as u32));
             }
         }
-        let la_unions = la.union_rows_batch(&mut la_ops, &follow, threads);
+        let la_unions = la.union_rows_batch(&mut la_ops, &follow);
         // The augmented production has no lookback (no transition ever reads
         // `<start>`); its "reduction" is the accept action on $.
         la.insert(

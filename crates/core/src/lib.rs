@@ -53,9 +53,7 @@ mod relations;
 mod selective;
 mod slr;
 
-pub use classify::{
-    classify, classify_from, classify_recorded, classify_with, GrammarClass, MethodAdequacy,
-};
+pub use classify::{classify, classify_from, classify_recorded, GrammarClass, MethodAdequacy};
 pub use conflicts::{find_conflicts, Conflict, ConflictKind};
 pub use engine::LalrAnalysis;
 pub use explain::{explain_conflict, viable_prefix};

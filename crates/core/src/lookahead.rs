@@ -1,12 +1,8 @@
 //! The common output type of every look-ahead method.
 
 use lalr_automata::{Lr0Automaton, MergedLalr, ReductionId, ReductionIndex, StateId};
-use lalr_bitset::{tile_rows, BitMatrix, BitSet, BitSetRef, RowLayout, RowsMut};
+use lalr_bitset::{tile_rows, BitMatrix, BitSet, BitSetRef, RowLayout};
 use lalr_grammar::{ProdId, Terminal};
-
-/// Ops below this count are unioned inline: splitting the row matrix
-/// into bands and spawning scoped threads costs more than the unions.
-const BATCH_PARALLEL_GRAIN: usize = 2048;
 
 /// Look-ahead sets for every reduction point `(state, production)`.
 ///
@@ -135,72 +131,51 @@ impl LookaheadSets {
     /// Bulk OR of `src` matrix rows into look-ahead rows: each
     /// `(reduction id, src row)` op performs
     /// `rows[id] |= src.row(src_row)`, and every destination id is
-    /// recorded as present. Returns the number of row unions performed
-    /// (after deduplication).
+    /// recorded as present. Returns the number of row unions performed.
     ///
     /// This is the cache-aware batch lane behind the Digraph pipeline's
     /// LA phase. `ops` is sorted and deduplicated in place, then swept
     /// in destination tiles sized to L2 (see [`tile_rows`]); within a
     /// tile the ops are re-sorted by source row so a `Follow` row
     /// feeding many reductions stays hot across its whole run instead
-    /// of being re-fetched once per lookback edge. With `threads > 1`
-    /// and enough ops to amortize the fork, the destination matrix is
-    /// split into [`RowsMut`] bands and the (disjoint) op ranges are
-    /// unioned from scoped threads. OR is commutative and monotone, so
-    /// every path is bit-identical to the naive per-edge loop.
+    /// of being re-fetched once per lookback edge. OR is commutative and
+    /// monotone, so the result is bit-identical to the naive per-edge
+    /// loop.
     ///
-    /// The lane is **adaptive** (the same discipline as the parallel
-    /// Digraph's `PARALLEL_GRAIN` fallback): with one thread and a
-    /// source matrix that already fits a single L2 tile, reordering
-    /// cannot create locality that isn't there, so the ops run as a
-    /// plain per-edge loop with no sort — on fixed-64/fixed-128 corpora
-    /// the unions are a few cycles each and sorting the op list would
-    /// dominate the phase. The resulting bits are identical; only the
-    /// returned union count differs (duplicates are not collapsed on
-    /// the direct path, matching the historical per-edge counter).
+    /// The lane is **adaptive**: when the source matrix already fits a
+    /// single L2 tile, reordering cannot create locality that isn't
+    /// there, so the ops run as a plain per-edge loop with no sort — on
+    /// fixed-64/fixed-128 corpora the unions are a few cycles each and
+    /// sorting the op list would dominate the phase. The resulting bits
+    /// are identical; only the returned union count differs (duplicates
+    /// are not collapsed on the direct path, matching the historical
+    /// per-edge counter).
     ///
     /// # Panics
     ///
     /// Panics if `src`'s universe differs from the alphabet, or any op
     /// names an out-of-range destination or source row.
-    pub fn union_rows_batch(
-        &mut self,
-        ops: &mut Vec<(u32, u32)>,
-        src: &BitMatrix,
-        threads: usize,
-    ) -> u64 {
+    pub fn union_rows_batch(&mut self, ops: &mut Vec<(u32, u32)>, src: &BitMatrix) -> u64 {
         assert_eq!(src.cols(), self.terminals, "alphabet mismatch");
-        if threads <= 1 && src.rows() <= tile_rows(src.layout().words()) {
+        if src.rows() <= tile_rows(src.layout().words()) {
             for &(dst, s) in ops.iter() {
-                self.present.insert(dst as usize);
-                self.rows
-                    .union_row_with_words(dst as usize, src.row_words(s as usize));
+                self.union_words(ReductionId::new(dst as usize), src.row_words(s as usize));
             }
             return ops.len() as u64;
         }
         ops.sort_unstable();
         ops.dedup();
-        for &(dst, _) in ops.iter() {
-            self.present.insert(dst as usize);
-        }
-        let tile = tile_rows(self.layout().words());
-        if threads > 1 && ops.len() >= BATCH_PARALLEL_GRAIN {
-            let bands = self.rows.partition_rows_mut(threads);
-            let mut rest: &mut [(u32, u32)] = ops;
-            std::thread::scope(|scope| {
-                for mut band in bands {
-                    let split = rest.partition_point(|&(dst, _)| {
-                        (dst as usize) < band.first_row() + band.len()
-                    });
-                    let (mine, tail) = rest.split_at_mut(split);
-                    rest = tail;
-                    scope.spawn(move || batch_into_band(&mut band, mine, src, tile));
-                }
-            });
-        } else {
-            let rows = self.rows.rows();
-            let (mut band, _) = self.rows.split_rows_mut(rows);
-            batch_into_band(&mut band, ops, src, tile);
+        let tile = tile_rows(self.layout().words()) as u32;
+        let mut start = 0;
+        while start < ops.len() {
+            let first_dst = ops[start].0;
+            let end = start + ops[start..].partition_point(|&(dst, _)| dst - first_dst < tile);
+            let chunk = &mut ops[start..end];
+            chunk.sort_unstable_by_key(|&(dst, s)| (s, dst));
+            for &(dst, s) in chunk.iter() {
+                self.union_words(ReductionId::new(dst as usize), src.row_words(s as usize));
+            }
+            start = end;
         }
         ops.len() as u64
     }
@@ -257,27 +232,6 @@ impl LookaheadSets {
     /// by `==`; this exists for readable assertion messages).
     pub fn agrees_with(&self, other: &LookaheadSets) -> bool {
         self == other
-    }
-}
-
-/// One band's share of a [`LookaheadSets::union_rows_batch`]: `ops`
-/// must be sorted by destination and fall inside the band. Sweeps in
-/// destination tiles of `tile` rows, re-sorting each tile by source row
-/// for source locality.
-fn batch_into_band(band: &mut RowsMut<'_>, ops: &mut [(u32, u32)], src: &BitMatrix, tile: usize) {
-    let mut start = 0;
-    while start < ops.len() {
-        let first_dst = ops[start].0;
-        let mut end = start;
-        while end < ops.len() && (ops[end].0 - first_dst) < tile as u32 {
-            end += 1;
-        }
-        let chunk = &mut ops[start..end];
-        chunk.sort_unstable_by_key(|&(dst, s)| (s, dst));
-        for &(dst, s) in chunk.iter() {
-            band.union_row_with_words(dst as usize, src.row_words(s as usize));
-        }
-        start = end;
     }
 }
 
@@ -385,64 +339,31 @@ mod tests {
         let points: Vec<_> = (0..12)
             .map(|i| (StateId::new(i), ProdId::new(i % 3)))
             .collect();
-        let mut follow = BitMatrix::new(5, terminals);
-        for s in 0..5 {
-            follow.set(s, s * 13);
-            follow.set(s, 64 + s);
-            follow.set(s, 129 - s);
-        }
         let raw_ops: Vec<(u32, u32)> = (0..12u32)
             .flat_map(|d| (0..5u32).map(move |s| (d, (d + s) % 5)))
             .chain([(0, 0), (7, 3), (7, 3)]) // duplicates
             .collect();
 
-        let mut naive = LookaheadSets::from_points(points.clone(), terminals);
-        for &(d, s) in &raw_ops {
-            naive.union_words(ReductionId::new(d as usize), follow.row_words(s as usize));
-        }
-
-        for threads in [1, 2, 4, 8] {
-            let mut batched = LookaheadSets::from_points(points.clone(), terminals);
-            let mut ops = raw_ops.clone();
-            let unions = batched.union_rows_batch(&mut ops, &follow, threads);
-            if threads == 1 {
-                // Small source matrix + one thread takes the adaptive
-                // direct path: no dedup, per-edge count.
-                assert_eq!(unions, 63, "12×5 + 3 duplicate ops, undeduped");
-            } else {
-                assert_eq!(unions, 60, "12×5 distinct ops after dedup");
+        // A source matrix that fits one L2 tile takes the direct path
+        // (no dedup, per-edge count); one row more takes the sorted,
+        // deduplicated path.
+        let one_tile = tile_rows(RowLayout::select(terminals).words());
+        for (rows, want_unions) in [(5, 63), (one_tile + 1, 60)] {
+            let mut follow = BitMatrix::new(rows, terminals);
+            for s in 0..5 {
+                follow.set(s, s * 13);
+                follow.set(s, 64 + s);
+                follow.set(s, 129 - s);
             }
-            assert_eq!(batched, naive, "bit-identical at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn union_rows_batch_threaded_path_is_bit_identical() {
-        // Enough ops to cross BATCH_PARALLEL_GRAIN, so threads > 1
-        // really takes the banded scoped-thread path.
-        let terminals = 67;
-        let points: Vec<_> = (0..300)
-            .map(|i| (StateId::new(i), ProdId::new(i % 5)))
-            .collect();
-        let mut follow = BitMatrix::new(16, terminals);
-        for s in 0..16 {
-            follow.set(s, (s * 11) % terminals);
-            follow.set(s, 66 - (s % 7));
-        }
-        let raw_ops: Vec<(u32, u32)> = (0..300u32)
-            .flat_map(|d| (0..8u32).map(move |s| (d, (d * 7 + s) % 16)))
-            .collect();
-        assert!(raw_ops.len() >= super::BATCH_PARALLEL_GRAIN);
-
-        let mut naive = LookaheadSets::from_points(points.clone(), terminals);
-        for &(d, s) in &raw_ops {
-            naive.union_words(ReductionId::new(d as usize), follow.row_words(s as usize));
-        }
-        for threads in [1, 2, 4, 8] {
+            let mut naive = LookaheadSets::from_points(points.clone(), terminals);
+            for &(d, s) in &raw_ops {
+                naive.union_words(ReductionId::new(d as usize), follow.row_words(s as usize));
+            }
             let mut batched = LookaheadSets::from_points(points.clone(), terminals);
             let mut ops = raw_ops.clone();
-            batched.union_rows_batch(&mut ops, &follow, threads);
-            assert_eq!(batched, naive, "bit-identical at {threads} threads");
+            let unions = batched.union_rows_batch(&mut ops, &follow);
+            assert_eq!(unions, want_unions, "union count with {rows} source rows");
+            assert_eq!(batched, naive, "bit-identical with {rows} source rows");
         }
     }
 

@@ -1,11 +1,12 @@
-//! Thread-count configuration for the parallel pipeline.
+//! Worker-count configuration for thread pools.
 
-/// How many worker threads the look-ahead pipeline may use.
+/// How many workers a pool runs — the compile service's worker pool
+/// and the load generators' client and worker counts.
 ///
-/// The parallel paths are bit-identical to the sequential ones — the same
-/// `Read`/`Follow`/`LA` sets, the same relation layouts — so this is purely
-/// a performance knob. `Parallelism::sequential()` (the default) keeps
-/// every phase on the calling thread.
+/// A single compile always runs sequentially: the paper's Digraph
+/// algorithm is one linear depth-first traversal per relation, so
+/// concurrency comes from running independent compiles on separate
+/// workers, not from splitting one.
 ///
 /// # Examples
 ///
@@ -23,19 +24,19 @@ pub struct Parallelism {
 }
 
 impl Parallelism {
-    /// Exactly one thread: every phase runs sequentially.
+    /// Exactly one worker.
     pub fn sequential() -> Self {
         Parallelism { threads: 1 }
     }
 
-    /// A fixed thread count (`0` is treated as `1`).
+    /// A fixed worker count (`0` is treated as `1`).
     pub fn new(threads: usize) -> Self {
         Parallelism {
             threads: threads.max(1),
         }
     }
 
-    /// One thread per available hardware thread.
+    /// One worker per available hardware thread.
     pub fn available() -> Self {
         Parallelism::new(
             std::thread::available_parallelism()
@@ -49,49 +50,10 @@ impl Parallelism {
     pub fn threads(&self) -> usize {
         self.threads
     }
-
-    /// `true` when more than one worker is configured.
-    #[inline]
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
-    }
-
-    /// Splits `n` items into one contiguous range per worker (first
-    /// `n % threads` ranges get one extra item; trailing ranges may be
-    /// empty). Merging per-range results *in range order* reproduces the
-    /// sequential iteration order — the key to bit-identical output.
-    pub fn shard_ranges(&self, n: usize) -> Vec<std::ops::Range<usize>> {
-        let parts = self.threads;
-        let base = n / parts;
-        let extra = n % parts;
-        let mut out = Vec::with_capacity(parts);
-        let mut start = 0;
-        for i in 0..parts {
-            let len = base + usize::from(i < extra);
-            out.push(start..start + len);
-            start += len;
-        }
-        out
-    }
 }
 
 impl Default for Parallelism {
     fn default() -> Self {
         Parallelism::sequential()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shard_ranges_cover_exactly_once() {
-        let p = Parallelism::new(3);
-        let ranges = p.shard_ranges(8);
-        assert_eq!(ranges, vec![0..3, 3..6, 6..8]);
-        let p = Parallelism::new(4);
-        assert_eq!(p.shard_ranges(2), vec![0..1, 1..2, 2..2, 2..2]);
-        assert_eq!(Parallelism::sequential().shard_ranges(5), vec![0..5]);
     }
 }

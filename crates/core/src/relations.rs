@@ -88,44 +88,18 @@ impl Relations {
         Relations::build_with(grammar, lr0, nullable)
     }
 
-    /// Builds all four relations, sharding the per-transition work across
-    /// the configured worker threads.
-    ///
-    /// The result is **identical** to [`Relations::build`] — not merely
-    /// equivalent: workers own contiguous shards of the nonterminal
-    /// transitions and fill private edge/lookback buffers, which are then
-    /// merged in shard order. Since the shards partition the sequential
-    /// iteration order, the merged adjacency lists and lookback vectors
-    /// have the exact layout the sequential loop would produce (dedup
-    /// included, because `add_edge_dedup` is applied at merge time in the
-    /// same order it would have been applied incrementally).
-    pub fn build_parallel(
+    /// [`Relations::build`] under an observer: the build runs inside a
+    /// `relations.build` span and — when the recorder is enabled —
+    /// reports the edge counts of all three relations. The counters come
+    /// from the built adjacency structures directly (no SCC pass; see
+    /// [`Relations::stats`] for the expensive structural statistics).
+    pub fn build_recorded(
         grammar: &Grammar,
         lr0: &Lr0Automaton,
-        parallelism: &crate::Parallelism,
-    ) -> Relations {
-        Relations::build_parallel_recorded(grammar, lr0, parallelism, &lalr_obs::NULL)
-    }
-
-    /// [`Relations::build_parallel`] under an observer: the build runs
-    /// inside a `relations.build` span and — when the recorder is
-    /// enabled — reports the edge counts of all three relations. The
-    /// counters come from the built adjacency structures directly (no
-    /// SCC pass; see [`Relations::stats`] for the expensive structural
-    /// statistics).
-    pub fn build_parallel_recorded(
-        grammar: &Grammar,
-        lr0: &Lr0Automaton,
-        parallelism: &crate::Parallelism,
         rec: &dyn lalr_obs::Recorder,
     ) -> Relations {
         let _span = lalr_obs::span(rec, "relations.build");
-        let nullable = lalr_grammar::analysis::nullable(grammar);
-        let relations = if !parallelism.is_parallel() {
-            Relations::build_with(grammar, lr0, nullable)
-        } else {
-            Relations::build_with_parallel(grammar, lr0, nullable, parallelism)
-        };
+        let relations = Relations::build(grammar, lr0);
         if rec.is_enabled() {
             rec.add("relations.nodes", relations.reads.node_count() as u64);
             rec.add("relations.reads_edges", relations.reads.edge_count() as u64);
@@ -139,138 +113,6 @@ impl Relations {
             );
         }
         relations
-    }
-
-    /// Parallel analogue of [`Relations::build_with`]; see
-    /// [`Relations::build_parallel`] for the determinism argument.
-    pub fn build_with_parallel(
-        grammar: &Grammar,
-        lr0: &Lr0Automaton,
-        nullable: NullableSet,
-        parallelism: &crate::Parallelism,
-    ) -> Relations {
-        let nts = lr0.nt_transitions();
-        let n = nts.len();
-        let accept = lr0.accept_state(grammar);
-        let shards = parallelism.shard_ranges(n);
-
-        // DR: each worker owns a contiguous band of matrix rows (a
-        // disjoint `&mut` borrow), so the scatter needs no merge at all.
-        let mut dr = BitMatrix::new(n, grammar.terminal_count());
-        let bands = dr.partition_rows_mut(parallelism.threads());
-        std::thread::scope(|scope| {
-            for mut band in bands {
-                scope.spawn(move || {
-                    let rows = band.first_row()..band.first_row() + band.len();
-                    for (i, t) in nts.iter().enumerate().take(rows.end).skip(rows.start) {
-                        for term in lr0.shift_symbols(t.to) {
-                            band.set(i, term.index());
-                        }
-                        if t.to == accept {
-                            band.set(i, Terminal::EOF.index());
-                        }
-                    }
-                });
-            }
-        });
-
-        // reads / includes / lookback: workers fill private buffers for
-        // their shard of transitions; the merge below replays them in
-        // shard order, i.e. in sequential iteration order.
-        struct ShardOut {
-            reads: Vec<(u32, u32)>,
-            includes: Vec<(u32, u32)>,
-            lookback: Vec<(u32, u32)>,
-        }
-        let reductions = ReductionIndex::from_lr0(lr0);
-        let reductions_ref = &reductions;
-        let nullable_ref = &nullable;
-        let outputs: Vec<ShardOut> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .cloned()
-                .map(|range| {
-                    scope.spawn(move || {
-                        let mut out = ShardOut {
-                            reads: Vec::new(),
-                            includes: Vec::new(),
-                            lookback: Vec::new(),
-                        };
-                        for i in range {
-                            let t = &nts[i];
-                            for &(sym, _) in lr0.transitions(t.to) {
-                                if let Symbol::NonTerminal(c) = sym {
-                                    if nullable_ref.contains(c) {
-                                        let j = lr0
-                                            .nt_transition_id(t.to, c)
-                                            .expect("transition enumerated");
-                                        out.reads.push((i as u32, j.index() as u32));
-                                    }
-                                }
-                            }
-                            let j = i;
-                            for &pid in grammar.productions_of(t.nt) {
-                                let rhs = grammar.production(pid).rhs();
-                                let mut state = t.from;
-                                for (k, &sym) in rhs.iter().enumerate() {
-                                    if let Symbol::NonTerminal(a) = sym {
-                                        let gamma_nullable = rhs[k + 1..].iter().all(|&s| {
-                                            matches!(s, Symbol::NonTerminal(n) if nullable_ref.contains(n))
-                                        });
-                                        if gamma_nullable {
-                                            let src = lr0
-                                                .nt_transition_id(state, a)
-                                                .expect("closure guarantees the transition");
-                                            out.includes.push((src.index() as u32, j as u32));
-                                        }
-                                    }
-                                    state = lr0
-                                        .transition(state, sym)
-                                        .expect("the automaton contains every viable prefix");
-                                }
-                                let rid = reductions_ref
-                                    .id(state, pid)
-                                    .expect("a walked body ends in a reducing state");
-                                out.lookback.push((rid.index() as u32, j as u32));
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("relation shard worker panicked"))
-                .collect()
-        });
-
-        let mut reads = Graph::new(n);
-        let mut includes = Graph::new(n);
-        let mut lookback_pairs: Vec<(u32, u32)> =
-            Vec::with_capacity(outputs.iter().map(|o| o.lookback.len()).sum());
-        for out in &outputs {
-            for &(u, v) in &out.reads {
-                reads.add_edge(u as usize, v as usize);
-            }
-            for &(u, v) in &out.includes {
-                includes.add_edge_dedup(u as usize, v as usize);
-            }
-            // Shards partition the sequential iteration order, so the
-            // concatenation feeds the stable CSR scatter the exact pair
-            // sequence the sequential build produces.
-            lookback_pairs.extend_from_slice(&out.lookback);
-        }
-        let (lookback_offsets, lookback_slab) = lookback_csr(reductions.len(), &lookback_pairs);
-
-        Relations {
-            dr,
-            reads,
-            includes,
-            reductions,
-            lookback_offsets,
-            lookback_slab,
-            nullable,
-        }
     }
 
     /// Builds all four relations reusing a precomputed nullable set.

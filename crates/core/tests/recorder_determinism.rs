@@ -4,7 +4,7 @@
 //! part of a [`lalr_obs::PhaseReport`].
 
 use lalr_automata::Lr0Automaton;
-use lalr_core::{LalrAnalysis, Parallelism};
+use lalr_core::LalrAnalysis;
 use lalr_obs::{CollectingRecorder, PhaseReport};
 
 /// Everything deterministic in a report: counters, and (name, calls)
@@ -30,11 +30,11 @@ fn fingerprint(report: &PhaseReport) -> Vec<(String, u64)> {
     out
 }
 
-fn recorded_run(src: &str, parallelism: &Parallelism) -> PhaseReport {
+fn recorded_run(src: &str) -> PhaseReport {
     let grammar = lalr_grammar::parse_grammar(src).unwrap();
     let rec = CollectingRecorder::new();
     let lr0 = Lr0Automaton::build_recorded(&grammar, &rec);
-    let analysis = LalrAnalysis::compute_recorded(&grammar, &lr0, parallelism, &rec);
+    let analysis = LalrAnalysis::compute_recorded(&grammar, &lr0, &rec);
     assert!(analysis.lookaheads().reduction_count() > 0);
     rec.report()
 }
@@ -42,27 +42,24 @@ fn recorded_run(src: &str, parallelism: &Parallelism) -> PhaseReport {
 #[test]
 fn two_recorded_runs_report_identical_counters() {
     for entry in lalr_corpus::all_entries() {
-        for parallelism in [Parallelism::sequential(), Parallelism::new(4)] {
-            let a = recorded_run(entry.source, &parallelism);
-            let b = recorded_run(entry.source, &parallelism);
-            assert_eq!(
-                fingerprint(&a),
-                fingerprint(&b),
-                "nondeterministic counters on {} ({} threads)",
-                entry.name,
-                parallelism.threads()
-            );
-            assert!(
-                a.counter("lr0.states").unwrap_or(0) > 0,
-                "{}: lr0 counters must be populated",
-                entry.name
-            );
-            assert!(
-                a.phase("digraph.reads").is_some() && a.phase("digraph.includes").is_some(),
-                "{}: both traversal phases must be spanned",
-                entry.name
-            );
-        }
+        let a = recorded_run(entry.source);
+        let b = recorded_run(entry.source);
+        assert_eq!(
+            fingerprint(&a),
+            fingerprint(&b),
+            "nondeterministic counters on {}",
+            entry.name
+        );
+        assert!(
+            a.counter("lr0.states").unwrap_or(0) > 0,
+            "{}: lr0 counters must be populated",
+            entry.name
+        );
+        assert!(
+            a.phase("digraph.reads").is_some() && a.phase("digraph.includes").is_some(),
+            "{}: both traversal phases must be spanned",
+            entry.name
+        );
     }
 }
 
@@ -74,7 +71,7 @@ fn recorded_pipeline_matches_unrecorded_results() {
         let grammar = entry.grammar();
         let rec = CollectingRecorder::new();
         let lr0 = Lr0Automaton::build_recorded(&grammar, &rec);
-        let recorded = LalrAnalysis::compute_recorded(&grammar, &lr0, &Parallelism::new(4), &rec);
+        let recorded = LalrAnalysis::compute_recorded(&grammar, &lr0, &rec);
         let plain = LalrAnalysis::compute(&grammar, &lr0);
         assert_eq!(
             recorded.lookaheads(),

@@ -45,16 +45,12 @@
 
 mod condensation;
 mod graph;
-mod levels;
 mod naive;
 mod tarjan;
 mod traversal;
 
 pub use condensation::Condensation;
 pub use graph::Graph;
-pub use levels::{
-    digraph_levels, digraph_levels_recorded, digraph_with_schedule, LevelSchedule, TraversalReport,
-};
 pub use naive::naive_closure;
 pub use tarjan::{tarjan_scc, SccInfo};
 pub use traversal::{

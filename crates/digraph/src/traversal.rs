@@ -32,11 +32,9 @@ pub trait UnionSets {
     fn assign(&mut self, dst: usize, src: usize);
 }
 
-/// Both operations bottom out in `lalr_bitset::kernels` — the same
-/// width-dispatched row kernels the level-scheduled parallel sweep uses
-/// — so the sequential and parallel lanes share one optimization
-/// surface (and `assign` is a straight row copy with no temporary
-/// allocation).
+/// Both operations bottom out in the width-dispatched row kernels of
+/// `lalr_bitset::kernels` (and `assign` is a straight row copy with no
+/// temporary allocation).
 impl UnionSets for BitMatrix {
     fn union(&mut self, dst: usize, src: usize) {
         self.union_rows(dst, src);

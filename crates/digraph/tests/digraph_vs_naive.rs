@@ -2,9 +2,7 @@
 //! reference on random graphs, and with reachability semantics.
 
 use lalr_bitset::BitMatrix;
-use lalr_digraph::{
-    digraph, digraph_levels, digraph_with_schedule, naive_closure, tarjan_scc, Graph, LevelSchedule,
-};
+use lalr_digraph::{digraph, digraph_counting, naive_closure, tarjan_scc, DigraphStats, Graph};
 use proptest::prelude::*;
 
 const COLS: usize = 64;
@@ -31,6 +29,31 @@ fn setup(c: &Case) -> (Graph, BitMatrix) {
         m.set(r, col);
     }
     (g, m)
+}
+
+/// The statistics a traversal must report, derived independently from
+/// Tarjan's component sizes: a node is cyclic when its component has
+/// more than one member or it carries a self-loop.
+fn stats_from_sccs(g: &Graph) -> DigraphStats {
+    let scc = tarjan_scc(g);
+    let sizes = scc.sizes();
+    let mut stats = DigraphStats {
+        scc_count: scc.count(),
+        ..DigraphStats::default()
+    };
+    for &s in &sizes {
+        stats.max_scc_size = stats.max_scc_size.max(s);
+        if s > 1 {
+            stats.nontrivial_sccs += 1;
+            stats.cyclic_nodes += s;
+        }
+    }
+    for node in 0..g.node_count() {
+        if sizes[scc.component(node)] == 1 && g.has_self_loop(node) {
+            stats.cyclic_nodes += 1;
+        }
+    }
+    stats
 }
 
 proptest! {
@@ -118,58 +141,21 @@ proptest! {
 
     #[test]
     fn three_traversals_agree_on_random_relations(c in case()) {
-        // naive fixpoint vs Tarjan-style DFS vs level-scheduled parallel:
-        // identical closures AND identical cycle diagnostics, on graphs
-        // that include cyclic ones (edges are unrestricted, so self-loops
-        // and multi-node cycles occur routinely).
+        // naive fixpoint vs Tarjan-style DFS vs the counting DFS the
+        // recorded pipeline runs: identical closures AND identical cycle
+        // diagnostics, on graphs that include cyclic ones (edges are
+        // unrestricted, so self-loops and multi-node cycles occur
+        // routinely).
         let (g, init) = setup(&c);
         let mut slow = init.clone();
         naive_closure(&g, &mut slow);
         let mut dfs = init.clone();
         let dfs_stats = digraph(&g, &mut dfs);
         prop_assert_eq!(&dfs, &slow, "DFS closure != naive closure");
-        let schedule = LevelSchedule::of(&g);
-        for threads in [1usize, 2, 4, 8] {
-            let mut level = init.clone();
-            let level_stats = digraph_levels(&g, &mut level, threads);
-            prop_assert_eq!(&level, &slow, "level closure != naive at {} threads", threads);
-            prop_assert_eq!(&level_stats, &dfs_stats, "stats diverge at {} threads", threads);
-            prop_assert_eq!(
-                level_stats.has_cycle(), dfs_stats.has_cycle(),
-                "cycle flags disagree at {} threads", threads
-            );
-            // digraph_levels adapts (small graphs run sequentially), so
-            // also force the threaded path through the schedule.
-            let mut forced = init.clone();
-            let forced_stats = digraph_with_schedule(&g, &mut forced, &schedule, threads);
-            prop_assert_eq!(&forced, &slow, "forced closure != naive at {} threads", threads);
-            prop_assert_eq!(&forced_stats, &dfs_stats, "forced stats diverge at {} threads", threads);
-        }
-    }
-
-    #[test]
-    fn level_schedule_is_a_valid_topological_leveling(c in case()) {
-        let (g, _) = setup(&c);
-        let s = LevelSchedule::of(&g);
-        // Every component appears in exactly one level.
-        let mut level_of = vec![usize::MAX; s.scc().count()];
-        for (l, comps) in s.levels().iter().enumerate() {
-            for &comp in comps {
-                prop_assert_eq!(level_of[comp as usize], usize::MAX, "component listed twice");
-                level_of[comp as usize] = l;
-            }
-        }
-        prop_assert!(level_of.iter().all(|&l| l != usize::MAX), "component missing a level");
-        // Inter-component edges strictly descend levels (the frontier
-        // independence property the parallel traversal relies on).
-        for (u, v) in g.edges() {
-            let (cu, cv) = (s.scc().component(u), s.scc().component(v));
-            if cu != cv {
-                prop_assert!(level_of[cu] > level_of[cv], "edge {}->{} does not descend", u, v);
-            }
-        }
-        // The schedule's derived stats match a real traversal's.
-        let mut m = BitMatrix::new(c.n, COLS);
-        prop_assert_eq!(s.stats(&g), digraph(&g, &mut m));
+        let mut counted = init;
+        let (counted_stats, _) = digraph_counting(&g, &mut counted);
+        prop_assert_eq!(&counted, &slow, "counting closure != naive closure");
+        prop_assert_eq!(&counted_stats, &dfs_stats, "counting stats diverge");
+        prop_assert_eq!(&dfs_stats, &stats_from_sccs(&g), "stats disagree with Tarjan");
     }
 }

@@ -6,15 +6,16 @@
 /// Phase names and counter names are `&'static str` by contract: the
 /// instrumented code never formats or allocates a name, which is what
 /// keeps the disabled path allocation-free. Implementations must be
-/// `Sync` — the parallel Digraph scheduler and the classify thread fan
-/// record into one recorder from several threads at once.
+/// `Sync`: a recorder may be shared by code on several threads, and the
+/// free [`NULL`](crate::NULL) recorder is a shared static.
 pub trait Recorder: Sync {
     /// Whether this recorder retains anything at all.
     ///
-    /// Instrumented code uses this to skip *computing* expensive
-    /// counter inputs (e.g. tallying bitset OR operations); the span
-    /// and `add` calls themselves are cheap enough to make
-    /// unconditionally.
+    /// Instrumented code uses this to skip computing and reporting
+    /// counter inputs; the span and `add` calls themselves are cheap
+    /// enough to make unconditionally. It must never choose which
+    /// algorithm runs: an enabled recorder observes exactly the work the
+    /// disabled one does.
     fn is_enabled(&self) -> bool;
 
     /// Marks the start of the named phase on the calling thread.

@@ -65,28 +65,32 @@ impl CompiledArtifact {
     /// classification → dense + compressed tables — under `catch_unwind`,
     /// so an engine bug becomes a [`ServiceError::Panicked`] response
     /// instead of a dead worker.
+    ///
+    /// `_pipeline` is ignored — a compile always runs sequentially. The
+    /// argument remains only so existing callers build unchanged.
     pub fn compile(
         text: &str,
         format: GrammarFormat,
         fingerprint: u64,
-        pipeline: &Parallelism,
+        _pipeline: &Parallelism,
     ) -> Result<CompiledArtifact, ServiceError> {
-        Self::compile_recorded(text, format, fingerprint, pipeline, &lalr_obs::NULL)
+        Self::compile_recorded(text, format, fingerprint, _pipeline, &lalr_obs::NULL)
     }
 
     /// [`CompiledArtifact::compile`] under an observer: the service folds
     /// each compile's phase timings (`parse`, `lr0.build`,
     /// `relations.build`, the two traversals, `la.union`, `classify`,
-    /// `tables.build`) into its metrics.
+    /// `tables.build`) into its metrics. `_pipeline` is ignored, as in
+    /// [`CompiledArtifact::compile`].
     pub fn compile_recorded(
         text: &str,
         format: GrammarFormat,
         fingerprint: u64,
-        pipeline: &Parallelism,
+        _pipeline: &Parallelism,
         rec: &dyn Recorder,
     ) -> Result<CompiledArtifact, ServiceError> {
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            Self::compile_inner(text, format, fingerprint, pipeline, rec)
+            Self::compile_inner(text, format, fingerprint, rec)
         }));
         match result {
             Ok(r) => r,
@@ -98,7 +102,6 @@ impl CompiledArtifact {
         text: &str,
         format: GrammarFormat,
         fingerprint: u64,
-        pipeline: &Parallelism,
         rec: &dyn Recorder,
     ) -> Result<CompiledArtifact, ServiceError> {
         let parsed = {
@@ -110,12 +113,12 @@ impl CompiledArtifact {
         };
         let grammar = parsed.map_err(|e| ServiceError::BadGrammar(e.to_string()))?;
         let lr0 = Lr0Automaton::build_recorded(&grammar, rec);
-        let analysis = LalrAnalysis::compute_recorded(&grammar, &lr0, pipeline, rec);
+        let analysis = LalrAnalysis::compute_recorded(&grammar, &lr0, rec);
         let adequacy = {
             // The per-method spans inside become nested under `classify`,
             // so the service's top-level phase list stays flat.
             let _span = lalr_obs::span(rec, "classify");
-            classify_recorded(&grammar, &lr0, &analysis, pipeline, rec)
+            classify_recorded(&grammar, &lr0, &analysis, rec)
         };
         let relations = analysis.relation_stats().clone();
         let reads = analysis.reads_traversal().clone();

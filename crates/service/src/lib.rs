@@ -1,11 +1,9 @@
 //! `lalr-service` — a cached, concurrent grammar-compilation service.
 //!
-//! After PR 1 (parallel SCC-level pipeline) and PR 2 (dense-index memory
-//! layout) the DeRemer–Pennello engine was fast but only reachable as a
-//! one-shot library/CLI call: every caller paid the full cold
-//! grammar → LR(0) → Read/Follow → tables pipeline. This crate amortizes
-//! compilation across requests, the way production generators and
-//! tabular-parsing servers do, in three layers:
+//! As a one-shot library/CLI call, the DeRemer–Pennello engine makes every
+//! caller pay the full cold grammar → LR(0) → Read/Follow → tables
+//! pipeline. This crate amortizes compilation across requests, the way
+//! production generators and tabular-parsing servers do, in three layers:
 //!
 //! * [`ArtifactCache`] — content-addressed storage of
 //!   [`CompiledArtifact`]s keyed by a fingerprint of the normalized
@@ -14,8 +12,8 @@
 //!   serializing; duplicate in-flight compiles of the same grammar
 //!   coalesce onto one pipeline run; LRU eviction enforces a byte
 //!   budget.
-//! * [`Service`] — a worker pool (sized by the existing
-//!   [`lalr_core::Parallelism`] config) executing `compile`, `classify`,
+//! * [`Service`] — a worker pool (sized by a [`lalr_core::Parallelism`],
+//!   one sequential compile per worker) executing `compile`, `classify`,
 //!   `table` and `parse` requests with per-request deadlines, a request
 //!   size guard, `catch_unwind` around the pipeline, and a [`StatsSnapshot`]
 //!   (request counts, cache hit rate, fixed-bucket latency histogram).

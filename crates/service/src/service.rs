@@ -50,12 +50,10 @@ pub const PHASE_NAMES: [&str; 8] = [
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Size of the worker pool (the existing [`Parallelism`] config,
-    /// reused: one worker per configured thread).
+    /// Size of the worker pool: one worker per configured thread. Each
+    /// compile runs sequentially on its worker; concurrency comes from
+    /// the pool.
     pub workers: Parallelism,
-    /// Thread count for *each* compile pipeline run (usually sequential;
-    /// concurrency comes from the pool).
-    pub pipeline: Parallelism,
     /// Artifact cache configuration; `None` disables caching entirely
     /// (every request compiles — the load generator's cold arm).
     pub cache: Option<CacheConfig>,
@@ -124,7 +122,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             workers: Parallelism::available(),
-            pipeline: Parallelism::sequential(),
             cache: Some(CacheConfig::default()),
             max_request_bytes: 1 << 20,
             max_document_bytes: 256 << 10,
@@ -725,8 +722,11 @@ struct Inner {
     parse_rejected: AtomicU64,
     parse_resolutions: AtomicU64,
     /// The flight recorder; `None` when tracing is disabled (the
-    /// zero-cost path: every trace hook starts with this check).
-    tracer: Option<FlightRecorder>,
+    /// zero-cost path: every trace hook starts with this check). Boxed
+    /// so its per-request atomics, written by the event-loop thread,
+    /// never share a cache line with this struct's counters, which the
+    /// workers write.
+    tracer: Option<Box<FlightRecorder>>,
     /// Cumulative per-stage nanoseconds across sampled requests.
     stage_ns: [AtomicU64; STAGE_COUNT],
     /// Per-shard event-loop counters, registered once by the daemon
@@ -821,7 +821,7 @@ impl Service {
             parse_resolutions: AtomicU64::new(0),
             tracer: config
                 .tracing
-                .map(|t| FlightRecorder::new(t.capacity, t.sample_every)),
+                .map(|t| Box::new(FlightRecorder::new(t.capacity, t.sample_every))),
             stage_ns: Default::default(),
             shards: std::sync::OnceLock::new(),
             daemon: std::sync::OnceLock::new(),
@@ -1555,7 +1555,6 @@ impl Inner {
         // key hashing, map probes, store I/O, waiting out another
         // thread's in-flight compile — is the cache stage.
         let resolve_started = trace.map(|_| Instant::now());
-        let pipeline = self.config.pipeline;
         // Graceful degradation gates the *pipeline*, not the lookup: a
         // degraded service still answers memory hits and verified store
         // loads (the closure never runs for those), and only a request
@@ -1570,7 +1569,7 @@ impl Inner {
                             "cold compile shed while degraded; retry after backoff".to_string(),
                         ));
                     }
-                    self.compile_observed(grammar, format, fp, &pipeline, trace)
+                    self.compile_observed(grammar, format, fp, trace)
                 });
                 result.map(|a| (a, outcome))
             }
@@ -1579,7 +1578,7 @@ impl Inner {
             )),
             None => {
                 let fp = crate::fingerprint::fx_fingerprint(&crate::fingerprint::normalize(&key));
-                self.compile_observed(grammar, format, fp, &pipeline, trace)
+                self.compile_observed(grammar, format, fp, trace)
                     .map(|a| (Arc::new(a), CacheOutcome::Compiled))
             }
         };
@@ -1598,7 +1597,6 @@ impl Inner {
         grammar: &str,
         format: GrammarFormat,
         fp: u64,
-        pipeline: &Parallelism,
         trace: Option<&ActiveTrace>,
     ) -> Result<CompiledArtifact, ServiceError> {
         // The compile-worker failpoint: a `panic` here unwinds into the
@@ -1617,7 +1615,13 @@ impl Inner {
         }
         let compile_started = trace.map(|_| Instant::now());
         let rec = CollectingRecorder::new();
-        let compiled = CompiledArtifact::compile_recorded(grammar, format, fp, pipeline, &rec);
+        let compiled = CompiledArtifact::compile_recorded(
+            grammar,
+            format,
+            fp,
+            &Parallelism::sequential(),
+            &rec,
+        );
         for phase in &rec.report().phases {
             if let Some(i) = PHASE_NAMES.iter().position(|&n| n == phase.name) {
                 self.phase_calls[i].fetch_add(phase.calls, Ordering::Relaxed);
