@@ -348,12 +348,23 @@ impl Lr0Automaton {
         self.nt_transitions[id.index()]
     }
 
+    /// The ids of the nonterminal transitions out of `state`: one dense
+    /// run, in nonterminal order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is out of range.
+    #[inline]
+    pub fn nt_transition_range(&self, state: StateId) -> std::ops::Range<usize> {
+        self.nt_offsets[state.index()] as usize..self.nt_offsets[state.index() + 1] as usize
+    }
+
     /// Looks up the id of the transition `(state, nt)` — a binary search
     /// within the state's dense run of nonterminal transitions.
     pub fn nt_transition_id(&self, state: StateId, nt: NonTerminal) -> Option<NtTransId> {
-        let lo = self.nt_offsets[state.index()] as usize;
-        let hi = self.nt_offsets[state.index() + 1] as usize;
-        self.nt_transitions[lo..hi]
+        let run = self.nt_transition_range(state);
+        let lo = run.start;
+        self.nt_transitions[run]
             .binary_search_by_key(&nt, |t| t.nt)
             .ok()
             .map(|i| NtTransId::new(lo + i))
@@ -444,6 +455,7 @@ mod tests {
         let lr0 = Lr0Automaton::build(&g);
         for (i, t) in lr0.nt_transitions().iter().enumerate() {
             let id = NtTransId::new(i);
+            assert!(lr0.nt_transition_range(t.from).contains(&i));
             assert_eq!(lr0.nt_transition(id), *t);
             assert_eq!(lr0.nt_transition_id(t.from, t.nt), Some(id));
             assert_eq!(

@@ -88,26 +88,3 @@ pub fn measure<R>(f: impl FnOnce() -> R) -> (R, AllocStats) {
         },
     )
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn measure_counts_a_vec_allocation() {
-        let (len, stats) = measure(|| {
-            let v: Vec<u64> = Vec::with_capacity(1000);
-            v.capacity()
-        });
-        assert_eq!(len, 1000);
-        assert!(stats.allocations >= 1);
-        assert!(stats.bytes >= 8000);
-    }
-
-    #[test]
-    fn measure_of_allocation_free_region_is_zero() {
-        let (_, stats) = measure(|| std::hint::black_box(1u64 + 1));
-        assert_eq!(stats.allocations, 0);
-        assert_eq!(stats.bytes, 0);
-    }
-}

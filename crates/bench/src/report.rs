@@ -18,8 +18,18 @@ pub fn table1() -> String {
     );
     let _ = writeln!(
         out,
-        "{:<16} {:>4} {:>4} {:>5} {:>5} {:>7} {:>8} {:>7} {:>9} {:>9}",
-        "grammar", "|T|", "|N|", "|P|", "|G|", "states", "nttrans", "reads", "includes", "lookback"
+        "{:<16} {:>4} {:>4} {:>5} {:>5} {:>7} {:>8} {:>7} {:>9} {:>9} {:>7}",
+        "grammar",
+        "|T|",
+        "|N|",
+        "|P|",
+        "|G|",
+        "states",
+        "nttrans",
+        "reads",
+        "includes",
+        "lookback",
+        "|R|"
     );
     for entry in lalr_corpus::all_entries() {
         let g = entry.grammar();
@@ -29,7 +39,7 @@ pub fn table1() -> String {
         let rs = rel.stats();
         let _ = writeln!(
             out,
-            "{:<16} {:>4} {:>4} {:>5} {:>5} {:>7} {:>8} {:>7} {:>9} {:>9}",
+            "{:<16} {:>4} {:>4} {:>5} {:>5} {:>7} {:>8} {:>7} {:>9} {:>9} {:>7}",
             entry.name,
             stats.terminals,
             stats.nonterminals,
@@ -40,6 +50,7 @@ pub fn table1() -> String {
             rs.reads_edges,
             rs.includes_edges,
             rs.lookback_edges,
+            rs.size(),
         );
     }
     out
@@ -121,7 +132,8 @@ pub fn table3() -> String {
 }
 
 /// Figure 1 — scaling sweep: method time and state counts vs grammar size
-/// over the `expr_ladder` family.
+/// over the `expr_ladder` family, with the relation size `|R|` and DP's
+/// time per element of it (flat if DP is linear in `|R|`).
 pub fn figure1(runs: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -130,8 +142,8 @@ pub fn figure1(runs: usize) -> String {
     );
     let _ = writeln!(
         out,
-        "{:>4} {:>6} {:>8} {:>10} {:>12} {:>12} {:>9}",
-        "n", "prods", "lr0-st", "DP", "yacc-prop", "LR1-merge", "lr1-st"
+        "{:>4} {:>6} {:>8} {:>10} {:>12} {:>12} {:>9} {:>7} {:>9}",
+        "n", "prods", "lr0-st", "DP", "yacc-prop", "LR1-merge", "lr1-st", "|R|", "DP ns/|R|"
     );
     for n in [2usize, 5, 10, 20, 40, 80] {
         let g = synthetic::expr_ladder(n);
@@ -140,9 +152,10 @@ pub fn figure1(runs: usize) -> String {
         let dp = median_time(Method::DeRemerPennello, &g, &lr0, runs);
         let prop = median_time(Method::Propagation, &g, &lr0, runs);
         let merge = median_time(Method::Lr1Merge, &g, &lr0, runs);
+        let r = Relations::build(&g, &lr0).stats().size();
         let _ = writeln!(
             out,
-            "{:>4} {:>6} {:>8} {:>9.1}us {:>11.1}us {:>11.1}us {:>9}",
+            "{:>4} {:>6} {:>8} {:>9.1}us {:>11.1}us {:>11.1}us {:>9} {:>7} {:>9.1}",
             n,
             g.production_count() - 1,
             lr0.state_count(),
@@ -150,6 +163,8 @@ pub fn figure1(runs: usize) -> String {
             prop.as_secs_f64() * 1e6,
             merge.as_secs_f64() * 1e6,
             lr1_states,
+            r,
+            dp.as_secs_f64() * 1e9 / r as f64,
         );
     }
     out
@@ -706,6 +721,22 @@ mod tests {
     }
 
     #[test]
+    fn table1_relation_size_sums_the_relation_columns() {
+        let t = super::table1();
+        assert!(t.lines().nth(1).unwrap().trim_end().ends_with("|R|"));
+        for row in t.lines().skip(2) {
+            let cells: Vec<usize> = row
+                .split_whitespace()
+                .skip(1)
+                .map(|c| c.parse().expect("numeric cell"))
+                .collect();
+            assert_eq!(cells.len(), 10, "{row}");
+            // nttrans + reads + includes + lookback.
+            assert_eq!(cells[9], cells[5..9].iter().sum::<usize>(), "{row}");
+        }
+    }
+
+    #[test]
     fn table3_flags_the_witness_and_the_cycle() {
         let t = super::table3();
         let witness_row = t
@@ -725,6 +756,17 @@ mod tests {
         // One warm-up-free run to keep tests fast.
         let f = super::figure1(1);
         assert_eq!(f.lines().count(), 2 + 6);
+        assert!(f.lines().nth(1).unwrap().ends_with("|R| DP ns/|R|"));
+        let mut last_r = 0;
+        for row in f.lines().skip(2) {
+            let cells: Vec<&str> = row.split_whitespace().collect();
+            assert_eq!(cells.len(), 9, "{row}");
+            let r: usize = cells[7].parse().expect("|R| is a count");
+            let per: f64 = cells[8].parse().expect("ns/|R| is a number");
+            assert!(r > last_r, "|R| grows with n: {row}");
+            assert!(per > 0.0, "{row}");
+            last_r = r;
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl NqlalrAnalysis {
         // NQDR(r) = shiftable terminals of r (all transitions into r merged),
         // plus $ at the accept state.
         let mut follow = BitMatrix::new(n_states, grammar.terminal_count());
-        let mut graph = Graph::new(n_states);
+        let mut edges = Vec::new();
         let mut is_goto_target = vec![false; n_states];
         for t in lr0.nt_transitions() {
             let r = t.to.index();
@@ -72,7 +72,7 @@ impl NqlalrAnalysis {
             for &(sym, to) in lr0.transitions(t.to) {
                 if let Symbol::NonTerminal(c) = sym {
                     if nullable.contains(c) {
-                        graph.add_edge_dedup(t.to.index(), to.index());
+                        edges.push((t.to.index(), to.index()));
                     }
                 }
             }
@@ -95,7 +95,7 @@ impl NqlalrAnalysis {
                             let r_a = lr0
                                 .transition(state, Symbol::NonTerminal(a))
                                 .expect("closure guarantees the transition");
-                            graph.add_edge_dedup(r_a.index(), target_b);
+                            edges.push((r_a.index(), target_b));
                         }
                     }
                     state = lr0.transition(state, sym).expect("viable prefix");
@@ -103,7 +103,7 @@ impl NqlalrAnalysis {
             }
         }
 
-        digraph(&graph, &mut follow);
+        digraph(&Graph::from_edges_dedup(n_states, edges), &mut follow);
 
         // State-level lookback: LA(q, A→ω) = ⋃ NQFollow(GOTO(p, A)) over
         // p --ω--> q. Reduction points are dense ids, so the per-point

@@ -25,6 +25,14 @@ pub struct RelationStats {
     pub includes_max_scc: usize,
 }
 
+impl RelationStats {
+    /// `|R|` = nonterminal transitions + `reads` + `includes` + lookback
+    /// edges: the size the paper's look-ahead computation is linear in.
+    pub fn size(&self) -> usize {
+        self.nt_transitions + self.reads_edges + self.includes_edges + self.lookback_edges
+    }
+}
+
 /// `DR`, `reads`, `includes` and `lookback` for one grammar + automaton.
 ///
 /// Nodes of the two graphs are [`NtTransId`]s; `lookback` maps each
@@ -59,26 +67,58 @@ pub struct Relations {
     nullable: NullableSet,
 }
 
-/// Scatters `(row, transition)` pairs into a CSR offsets+slab pair by a
-/// stable counting sort, preserving each row's pair order — so the slab
-/// layout is exactly what per-row `Vec` pushes in the same sequence would
-/// produce.
-fn lookback_csr(n_rows: usize, pairs: &[(u32, u32)]) -> (Vec<u32>, Vec<NtTransId>) {
-    let mut offsets = vec![0u32; n_rows + 1];
-    for &(r, _) in pairs {
-        offsets[r as usize + 1] += 1;
+/// Marks a predecessor edge on a terminal (it carries no transition id).
+const NO_TRANSITION: u32 = u32::MAX;
+
+/// The in-edges of every LR(0) state, in CSR form: the edges into `s` are
+/// `edges[offsets[s] .. offsets[s + 1]]`, each a `(p, id)` pair for
+/// `p --X--> s`, with `id` the nonterminal transition `(p, X)` or
+/// [`NO_TRANSITION`] when `X` is a terminal. Every in-edge of `s` is
+/// labelled with the accessing symbol of `s`, so walking them back never
+/// searches by symbol.
+struct Predecessors {
+    offsets: Vec<u32>,
+    edges: Vec<(u32, u32)>,
+}
+
+impl Predecessors {
+    fn of(lr0: &Lr0Automaton) -> Predecessors {
+        let n = lr0.state_count();
+        let mut offsets = vec![0u32; n + 1];
+        for s in lr0.states() {
+            for &(_, to) in lr0.transitions(s) {
+                offsets[to.index() + 1] += 1;
+            }
+        }
+        for i in 1..=n {
+            offsets[i] += offsets[i - 1];
+        }
+        // Scatter with `offsets[s]` as the cursor of state `s`, then shift
+        // the cursors (which end on the next state's start) back.
+        let mut edges = vec![(0u32, NO_TRANSITION); offsets[n] as usize];
+        for p in lr0.states() {
+            // Transitions are symbol-sorted and nonterminal transition ids
+            // are assigned in that order, so the run is consumed in step.
+            let mut run = lr0.nt_transition_range(p);
+            for &(sym, to) in lr0.transitions(p) {
+                let id = match sym {
+                    Symbol::Terminal(_) => NO_TRANSITION,
+                    Symbol::NonTerminal(_) => run.next().expect("one id per transition") as u32,
+                };
+                let cursor = &mut offsets[to.index()];
+                edges[*cursor as usize] = (p.index() as u32, id);
+                *cursor += 1;
+            }
+        }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        Predecessors { offsets, edges }
     }
-    for i in 1..offsets.len() {
-        offsets[i] += offsets[i - 1];
+
+    #[inline]
+    fn edges_into(&self, s: u32) -> &[(u32, u32)] {
+        &self.edges[self.offsets[s as usize] as usize..self.offsets[s as usize + 1] as usize]
     }
-    let mut cursor: Vec<u32> = offsets[..n_rows].to_vec();
-    let mut slab = vec![NtTransId::new(0); pairs.len()];
-    for &(r, j) in pairs {
-        let c = &mut cursor[r as usize];
-        slab[*c as usize] = NtTransId::new(j as usize);
-        *c += 1;
-    }
-    (offsets, slab)
 }
 
 impl Relations {
@@ -116,6 +156,14 @@ impl Relations {
     }
 
     /// Builds all four relations reusing a precomputed nullable set.
+    ///
+    /// `includes` and `lookback` come from one backward pass: each
+    /// reduction point `(q, A→ω)` is walked back `|ω|` steps over the
+    /// automaton's predecessor edges, which enumerates exactly the paths
+    /// `p --ω--> q`. Each path yields the lookback edge to `(p, A)` and,
+    /// at the positions of `ω` followed by a nullable suffix, the
+    /// `includes` edges whose sources ride on the predecessor edges. Both
+    /// relations come out sorted by (source, target).
     pub fn build_with(grammar: &Grammar, lr0: &Lr0Automaton, nullable: NullableSet) -> Relations {
         let nts = lr0.nt_transitions();
         let n = nts.len();
@@ -134,57 +182,93 @@ impl Relations {
             }
         }
 
-        // reads: (p, A) reads (r, C) iff p --A--> r --C--> and C nullable.
-        let mut reads = Graph::new(n);
-        for (i, t) in nts.iter().enumerate() {
-            for &(sym, _) in lr0.transitions(t.to) {
-                if let Symbol::NonTerminal(c) = sym {
-                    if nullable.contains(c) {
-                        let j = lr0
-                            .nt_transition_id(t.to, c)
-                            .expect("transition enumerated");
-                        reads.add_edge(i, j.index());
-                    }
-                }
-            }
-        }
+        // reads: (p, A) reads (r, C) iff p --A--> r --C--> and C nullable;
+        // the candidates are r's run of nonterminal transitions.
+        let reads = Graph::from_edges(
+            n,
+            nts.iter().enumerate().flat_map(|(i, t)| {
+                lr0.nt_transition_range(t.to)
+                    .filter(|&j| nullable.contains(nts[j].nt))
+                    .map(move |j| (i, j))
+            }),
+        );
 
-        // includes and lookback, by walking every production body from every
-        // source of a transition on its LHS:
+        // includes and lookback, by walking every reduction point back:
         //   (p, A) includes (p', B)  iff  B → β A γ, γ ⇒* ε, p' --β--> p
         //   (q, A→ω) lookback (p, A) iff  p --ω--> q
+        // Positions `k >= tail[prod]` of a body have a nullable suffix.
+        let tail: Vec<u32> = grammar
+            .productions()
+            .iter()
+            .map(|p| {
+                let rhs = p.rhs();
+                let suffix = rhs
+                    .iter()
+                    .rev()
+                    .take_while(|&&s| matches!(s, Symbol::NonTerminal(c) if nullable.contains(c)))
+                    .count();
+                (rhs.len() - suffix).saturating_sub(1) as u32
+            })
+            .collect();
+        let max_rhs = grammar.productions().iter().map(|p| p.len()).max();
+        let preds = Predecessors::of(lr0);
         let reductions = ReductionIndex::from_lr0(lr0);
-        let mut includes = Graph::new(n);
-        let mut lookback_pairs: Vec<(u32, u32)> = Vec::new();
-        for (j, t) in nts.iter().enumerate() {
-            for &pid in grammar.productions_of(t.nt) {
-                let rhs = grammar.production(pid).rhs();
-                // Walk the body, collecting the state before each symbol.
-                let mut state = t.from;
-                for (k, &sym) in rhs.iter().enumerate() {
-                    if let Symbol::NonTerminal(a) = sym {
-                        // γ = rhs[k+1..] must be nullable for `includes`.
-                        let gamma_nullable = rhs[k + 1..]
-                            .iter()
-                            .all(|&s| matches!(s, Symbol::NonTerminal(n) if nullable.contains(n)));
-                        if gamma_nullable {
-                            let i = lr0
-                                .nt_transition_id(state, a)
-                                .expect("closure guarantees the transition");
-                            includes.add_edge_dedup(i.index(), j);
-                        }
+        let mut lookback_offsets = Vec::with_capacity(reductions.len() + 1);
+        lookback_offsets.push(0u32);
+        let mut lookback_slab: Vec<NtTransId> = Vec::with_capacity(reductions.len());
+        let mut includes_pairs: Vec<(u32, u32)> = Vec::new();
+        // `path[k]` is the transition id on the current path's edge over
+        // body position `k`; `stack` holds `(state, k, id)` with `state`
+        // the one before position `k` and `id` its edge over it.
+        let mut path = vec![NO_TRANSITION; max_rhs.unwrap_or(0)];
+        let mut stack: Vec<(u32, u32, u32)> = Vec::new();
+        for (_, q, pid) in reductions.iter() {
+            // The augmented start production has no transition to look
+            // back to.
+            if pid != ProdId::START {
+                let prod = grammar.production(pid);
+                let (lhs, len) = (prod.lhs(), prod.len());
+                let row = lookback_slab.len();
+                stack.push((q.index() as u32, len as u32, NO_TRANSITION));
+                while let Some((s, k, id)) = stack.pop() {
+                    let k = k as usize;
+                    if k < len {
+                        path[k] = id;
                     }
-                    state = lr0
-                        .transition(state, sym)
-                        .expect("the automaton contains every viable prefix");
+                    if k > 0 {
+                        stack.extend(
+                            preds
+                                .edges_into(s)
+                                .iter()
+                                .map(|&(p, id)| (p, k as u32 - 1, id)),
+                        );
+                        continue;
+                    }
+                    let j = lr0
+                        .nt_transition_id(StateId::new(s as usize), lhs)
+                        .expect("a body's start state has a transition on its LHS");
+                    lookback_slab.push(j);
+                    let j = j.index() as u32;
+                    includes_pairs.extend(
+                        path[tail[pid.index()] as usize..len]
+                            .iter()
+                            .filter(|&&i| i != NO_TRANSITION)
+                            .map(|&i| (i, j)),
+                    );
                 }
-                let rid = reductions
-                    .id(state, pid)
-                    .expect("a walked body ends in a reducing state");
-                lookback_pairs.push((rid.index() as u32, j as u32));
+                lookback_slab[row..].sort_unstable();
             }
+            lookback_offsets.push(lookback_slab.len() as u32);
         }
-        let (lookback_offsets, lookback_slab) = lookback_csr(reductions.len(), &lookback_pairs);
+        // Transposing twice is a stable radix sort by (source, target), so
+        // each row is sorted and its duplicates are adjacent.
+        let by_target = Graph::from_edges(
+            n,
+            includes_pairs
+                .into_iter()
+                .map(|(i, j)| (j as usize, i as usize)),
+        );
+        let includes = Graph::from_edges_dedup(n, by_target.edges().map(|(j, i)| (i, j)));
 
         Relations {
             dr,
@@ -382,6 +466,10 @@ mod tests {
         assert_eq!(st.reads_edges, rel.reads().edge_count());
         assert_eq!(st.includes_edges, rel.includes().edge_count());
         assert!(st.lookback_edges >= g.production_count() - 1);
+        assert_eq!(
+            st.size(),
+            st.nt_transitions + st.reads_edges + st.includes_edges + st.lookback_edges
+        );
     }
 
     #[test]

@@ -335,7 +335,7 @@ mod tests {
         use lalr_grammar::Symbol;
         let nullable = lalr_grammar::analysis::nullable(g);
         let nts = lr0.nt_transitions();
-        let mut graph = lalr_digraph::Graph::new(nts.len());
+        let mut edges = Vec::new();
         for (j, t) in nts.iter().enumerate() {
             for &pid in g.productions_of(t.nt) {
                 let rhs = g.production(pid).rhs();
@@ -347,14 +347,14 @@ mod tests {
                             .all(|&s| matches!(s, Symbol::NonTerminal(n) if nullable.contains(n)));
                         if tail_nullable {
                             let i = lr0.nt_transition_id(state, a).unwrap();
-                            graph.add_edge_dedup(i.index(), j);
+                            edges.push((i.index(), j));
                         }
                     }
                     state = lr0.transition(state, sym).unwrap();
                 }
             }
         }
-        graph
+        lalr_digraph::Graph::from_edges_dedup(nts.len(), edges)
     }
 
     #[test]

@@ -29,13 +29,13 @@ impl Condensation {
     /// Computes the condensation of `graph`.
     pub fn of(graph: &Graph) -> Self {
         let scc = tarjan_scc(graph);
-        let mut quotient = Graph::new(scc.count());
-        for (u, v) in graph.edges() {
-            let (cu, cv) = (scc.component(u), scc.component(v));
-            if cu != cv {
-                quotient.add_edge_dedup(cu, cv);
-            }
-        }
+        let quotient = Graph::from_edges_dedup(
+            scc.count(),
+            graph.edges().filter_map(|(u, v)| {
+                let (cu, cv) = (scc.component(u), scc.component(v));
+                (cu != cv).then_some((cu, cv))
+            }),
+        );
         Condensation {
             scc,
             graph: quotient,

@@ -1,128 +1,170 @@
-//! Compact adjacency-list digraph.
+//! Compact compressed-sparse-row digraph.
 
 use std::fmt;
 
-/// A directed graph over nodes `0..n`, stored as adjacency lists.
+/// A directed graph over nodes `0..n`, stored in compressed sparse row
+/// (CSR) form: the successors of `u` are
+/// `targets[offsets[u] .. offsets[u + 1]]`.
 ///
-/// Nodes are plain indices so callers (the relation builders in `lalr-core`)
-/// can index them into parallel arrays of sets.
+/// A graph is built once, from an edge list, by a stable counting sort on
+/// the source: every node's successors keep the order in which their
+/// edges were listed. The whole adjacency is two allocations, however many
+/// nodes the graph has. Nodes are plain indices so callers (the relation
+/// builders in `lalr-core`) can index them into parallel arrays of sets.
 ///
 /// # Examples
 ///
 /// ```
 /// use lalr_digraph::Graph;
 ///
-/// let mut g = Graph::new(3);
-/// g.add_edge(0, 1);
-/// g.add_edge(0, 2);
-/// assert_eq!(g.successors(0), &[1, 2]);
-/// assert_eq!(g.edge_count(), 2);
+/// let g = Graph::from_edges(3, [(0, 2), (1, 0), (0, 1)]);
+/// assert_eq!(g.successors(0), &[2, 1]);
+/// assert_eq!(g.edge_count(), 3);
+///
+/// // The deduplicating constructor keeps the first occurrence of an edge.
+/// let d = Graph::from_edges_dedup(2, [(0, 1), (1, 1), (0, 1)]);
+/// assert_eq!(d.successors(0), &[1]);
+/// assert_eq!(d.edge_count(), 2);
 /// ```
-#[derive(Clone, PartialEq, Eq, Default)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
-    adj: Vec<Vec<u32>>,
-    edges: usize,
+    /// `n + 1` row boundaries into `targets`.
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl Default for Graph {
+    fn default() -> Self {
+        Graph::new(0)
+    }
 }
 
 impl Graph {
     /// Creates a graph with `n` nodes and no edges.
     pub fn new(n: usize) -> Self {
         Graph {
-            adj: vec![Vec::new(); n],
-            edges: 0,
+            offsets: vec![0; n + 1],
+            targets: Vec::new(),
         }
     }
 
-    /// Builds a graph from an edge list.
+    /// Builds a graph from an edge list. Parallel edges are kept, and each
+    /// node's successors are in list order.
     ///
     /// # Panics
     ///
     /// Panics if an endpoint is `>= n`.
     pub fn from_edges<I: IntoIterator<Item = (usize, usize)>>(n: usize, edges: I) -> Self {
-        let mut g = Graph::new(n);
-        for (u, v) in edges {
-            g.add_edge(u, v);
+        Graph::build(n, edges, false)
+    }
+
+    /// Builds a graph from an edge list, keeping only the first occurrence
+    /// of each edge. Each node's successors are in the order of their
+    /// first occurrence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is `>= n`.
+    pub fn from_edges_dedup<I: IntoIterator<Item = (usize, usize)>>(n: usize, edges: I) -> Self {
+        Graph::build(n, edges, true)
+    }
+
+    fn build<I: IntoIterator<Item = (usize, usize)>>(n: usize, edges: I, dedup: bool) -> Self {
+        let edges: Vec<(u32, u32)> = edges
+            .into_iter()
+            .map(|(u, v)| {
+                assert!(u < n, "source {u} out of range");
+                assert!(v < n, "target {v} out of range");
+                (u as u32, v as u32)
+            })
+            .collect();
+        // Stable counting sort by source: count, prefix-sum, scatter with
+        // `offsets[u]` as row `u`'s cursor, then shift the cursors (which
+        // end on the next row's start) back into row starts.
+        let mut offsets = vec![0u32; n + 1];
+        for &(u, _) in &edges {
+            offsets[u as usize + 1] += 1;
         }
-        g
+        for i in 1..=n {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut targets = vec![0u32; edges.len()];
+        for &(u, v) in &edges {
+            let cursor = &mut offsets[u as usize];
+            targets[*cursor as usize] = v;
+            *cursor += 1;
+        }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        if dedup {
+            // Compact in place; `seen[v] == u` marks `u -> v` as kept.
+            let mut seen = vec![u32::MAX; n];
+            let mut kept = 0u32;
+            for u in 0..n {
+                let (lo, hi) = (offsets[u] as usize, offsets[u + 1] as usize);
+                offsets[u] = kept;
+                for k in lo..hi {
+                    let v = targets[k];
+                    if seen[v as usize] != u as u32 {
+                        seen[v as usize] = u as u32;
+                        targets[kept as usize] = v;
+                        kept += 1;
+                    }
+                }
+            }
+            offsets[n] = kept;
+            targets.truncate(kept as usize);
+        }
+        Graph { offsets, targets }
     }
 
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.adj.len()
+        self.offsets.len() - 1
     }
 
     /// Number of edges (parallel edges counted individually).
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edges
+        self.targets.len()
     }
 
     /// Returns `true` if the graph has no nodes.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
+        self.node_count() == 0
     }
 
-    /// Adds the edge `u -> v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` or `v` is out of range.
-    pub fn add_edge(&mut self, u: usize, v: usize) {
-        assert!(u < self.adj.len(), "source {u} out of range");
-        assert!(v < self.adj.len(), "target {v} out of range");
-        self.adj[u].push(v as u32);
-        self.edges += 1;
-    }
-
-    /// Adds `u -> v` unless it is already present (linear scan; adjacency
-    /// lists in LALR relations are short).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` or `v` is out of range.
-    pub fn add_edge_dedup(&mut self, u: usize, v: usize) -> bool {
-        assert!(u < self.adj.len(), "source {u} out of range");
-        assert!(v < self.adj.len(), "target {v} out of range");
-        if self.adj[u].contains(&(v as u32)) {
-            return false;
-        }
-        self.adj[u].push(v as u32);
-        self.edges += 1;
-        true
-    }
-
-    /// The successors of `u` in insertion order.
+    /// The successors of `u`, in edge-list order.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range.
     #[inline]
     pub fn successors(&self, u: usize) -> &[u32] {
-        &self.adj[u]
+        &self.targets[self.offsets[u] as usize..self.offsets[u + 1] as usize]
     }
 
-    /// Iterates over all edges as `(source, target)` pairs.
-    pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.adj
-            .iter()
-            .enumerate()
-            .flat_map(|(u, vs)| vs.iter().map(move |&v| (u, v as usize)))
+    /// Iterates over all edges as `(source, target)` pairs, by source.
+    pub fn edges(&self) -> impl ExactSizeIterator<Item = (usize, usize)> + '_ {
+        let mut u = 0;
+        self.targets.iter().enumerate().map(move |(k, &v)| {
+            while self.offsets[u + 1] as usize <= k {
+                u += 1;
+            }
+            (u, v as usize)
+        })
     }
 
     /// The graph with every edge reversed.
     pub fn reversed(&self) -> Graph {
-        let mut g = Graph::new(self.node_count());
-        for (u, v) in self.edges() {
-            g.add_edge(v, u);
-        }
-        g
+        Graph::from_edges(self.node_count(), self.edges().map(|(u, v)| (v, u)))
     }
 
     /// Returns `true` if node `u` has an edge to itself.
     pub fn has_self_loop(&self, u: usize) -> bool {
-        self.adj[u].contains(&(u as u32))
+        self.successors(u).contains(&(u as u32))
     }
 
     /// Out-degree of `u`.
@@ -131,14 +173,15 @@ impl Graph {
     ///
     /// Panics if `u` is out of range.
     pub fn out_degree(&self, u: usize) -> usize {
-        self.adj[u].len()
+        self.successors(u).len()
     }
 }
 
 impl fmt::Debug for Graph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Graph(n={}, m={})", self.node_count(), self.edge_count())?;
-        for (u, vs) in self.adj.iter().enumerate() {
+        for u in 0..self.node_count() {
+            let vs = self.successors(u);
             if !vs.is_empty() {
                 write!(f, " {u}->{vs:?}")?;
             }
@@ -162,11 +205,26 @@ mod tests {
     }
 
     #[test]
-    fn dedup_edges() {
-        let mut g = Graph::new(2);
-        assert!(g.add_edge_dedup(0, 1));
-        assert!(!g.add_edge_dedup(0, 1));
-        assert_eq!(g.edge_count(), 1);
+    fn successors_keep_edge_list_order() {
+        let g = Graph::from_edges(3, [(2, 1), (0, 2), (2, 0), (0, 1), (2, 1)]);
+        assert_eq!(g.successors(0), &[2, 1]);
+        assert_eq!(g.successors(1), &[] as &[u32]);
+        assert_eq!(g.successors(2), &[1, 0, 1]);
+        assert_eq!(g.edge_count(), 5);
+    }
+
+    #[test]
+    fn dedup_keeps_first_occurrences() {
+        let g = Graph::from_edges_dedup(3, [(0, 2), (1, 0), (0, 1), (0, 2), (1, 0), (0, 1)]);
+        assert_eq!(g.successors(0), &[2, 1]);
+        assert_eq!(g.successors(1), &[0]);
+        assert_eq!(g.edge_count(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "target 2 out of range")]
+    fn out_of_range_endpoints_panic() {
+        let _ = Graph::from_edges(2, [(0, 2)]);
     }
 
     #[test]
@@ -188,8 +246,7 @@ mod tests {
     #[test]
     fn edges_iterator_lists_all() {
         let g = Graph::from_edges(3, [(2, 0), (0, 1)]);
-        let mut es: Vec<_> = g.edges().collect();
-        es.sort_unstable();
+        let es: Vec<_> = g.edges().collect();
         assert_eq!(es, vec![(0, 1), (2, 0)]);
     }
 
@@ -198,5 +255,6 @@ mod tests {
         let g = Graph::new(0);
         assert!(g.is_empty());
         assert_eq!(g.edges().count(), 0);
+        assert_eq!(Graph::default(), g);
     }
 }

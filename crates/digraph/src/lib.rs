@@ -14,7 +14,8 @@
 //! components on the fly, performing `O(|X| + |R|)` set unions. This crate
 //! provides:
 //!
-//! * [`Graph`] — a compact adjacency-list digraph.
+//! * [`Graph`] — a compressed-sparse-row digraph, built once from an edge
+//!   list.
 //! * [`digraph`] / [`digraph_on`] — the paper's algorithm over
 //!   [`lalr_bitset::BitMatrix`] rows.
 //! * [`naive_closure`] — the quadratic reference implementation (repeated
@@ -30,8 +31,7 @@
 //! use lalr_digraph::{digraph, Graph};
 //!
 //! // F(0) ⊇ {0}; 0 R 1; F(1) ⊇ {1}  ⇒  F(0) = {0,1}, F(1) = {1}
-//! let mut g = Graph::new(2);
-//! g.add_edge(0, 1);
+//! let g = Graph::from_edges(2, [(0, 1)]);
 //! let mut sets = BitMatrix::new(2, 8);
 //! sets.set(0, 0);
 //! sets.set(1, 1);

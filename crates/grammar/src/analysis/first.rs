@@ -40,7 +40,7 @@ impl FirstSets {
     pub fn compute(grammar: &Grammar, nullable: &NullableSet) -> FirstSets {
         let n = grammar.nonterminal_count();
         let mut sets = BitMatrix::new(n, grammar.terminal_count());
-        let mut graph = Graph::new(n);
+        let mut edges = Vec::new();
         for p in grammar.productions() {
             let lhs = p.lhs().index();
             for &sym in p.rhs() {
@@ -50,7 +50,7 @@ impl FirstSets {
                         break;
                     }
                     Symbol::NonTerminal(b) => {
-                        graph.add_edge_dedup(lhs, b.index());
+                        edges.push((lhs, b.index()));
                         if !nullable.contains(b) {
                             break;
                         }
@@ -58,7 +58,7 @@ impl FirstSets {
                 }
             }
         }
-        digraph(&graph, &mut sets);
+        digraph(&Graph::from_edges_dedup(n, edges), &mut sets);
         FirstSets {
             sets,
             nullable: nullable.clone(),

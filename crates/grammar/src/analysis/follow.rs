@@ -39,7 +39,7 @@ impl FollowSets {
     pub fn compute(grammar: &Grammar, first: &FirstSets) -> FollowSets {
         let n = grammar.nonterminal_count();
         let mut sets = BitMatrix::new(n, grammar.terminal_count());
-        let mut graph = Graph::new(n);
+        let mut edges = Vec::new();
 
         // FOLLOW(<start>) = {$}; the user start inherits it through the
         // augmented production <start> → S (handled by the generic loop).
@@ -59,11 +59,11 @@ impl FollowSets {
                 );
                 if beta_nullable {
                     // FOLLOW(A) ⊇ FOLLOW(lhs)
-                    graph.add_edge_dedup(a.index(), p.lhs().index());
+                    edges.push((a.index(), p.lhs().index()));
                 }
             }
         }
-        digraph(&graph, &mut sets);
+        digraph(&Graph::from_edges_dedup(n, edges), &mut sets);
         FollowSets { sets }
     }
 

@@ -31,13 +31,14 @@ use crate::symbol::Symbol;
 /// # Ok::<(), lalr_grammar::GrammarError>(())
 /// ```
 pub fn nullable_left_corner_components(grammar: &Grammar, nullable: &NullableSet) -> SccInfo {
-    let mut graph = Graph::new(grammar.nonterminal_count());
-    for p in grammar.productions() {
-        if let Some((&Symbol::NonTerminal(c), tail)) = p.rhs().split_first() {
-            if nullable.string_nullable(tail) {
-                graph.add_edge_dedup(p.lhs().index(), c.index());
+    let edges = grammar
+        .productions()
+        .iter()
+        .filter_map(|p| match p.rhs().split_first() {
+            Some((&Symbol::NonTerminal(c), tail)) if nullable.string_nullable(tail) => {
+                Some((p.lhs().index(), c.index()))
             }
-        }
-    }
-    tarjan_scc(&graph)
+            _ => None,
+        });
+    tarjan_scc(&Graph::from_edges_dedup(grammar.nonterminal_count(), edges))
 }

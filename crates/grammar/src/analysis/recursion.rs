@@ -30,13 +30,13 @@ pub enum RecursionKind {
 pub fn left_recursive_nonterminals(grammar: &Grammar, nullable: &NullableSet) -> Vec<NonTerminal> {
     // Build the "can begin with" relation: A -> B when A → αBβ with α ⇒* ε.
     let n = grammar.nonterminal_count();
-    let mut graph = Graph::new(n);
+    let mut edges = Vec::new();
     for p in grammar.productions() {
         for &sym in p.rhs() {
             match sym {
                 Symbol::Terminal(_) => break,
                 Symbol::NonTerminal(b) => {
-                    graph.add_edge_dedup(p.lhs().index(), b.index());
+                    edges.push((p.lhs().index(), b.index()));
                     if !nullable.contains(b) {
                         break;
                     }
@@ -44,6 +44,7 @@ pub fn left_recursive_nonterminals(grammar: &Grammar, nullable: &NullableSet) ->
             }
         }
     }
+    let graph = Graph::from_edges_dedup(n, edges);
     // A is left-recursive iff it lies on a cycle of this relation.
     let scc = tarjan_scc(&graph);
     let sizes = scc.sizes();

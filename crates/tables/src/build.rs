@@ -2,7 +2,7 @@
 
 use lalr_automata::Lr0Automaton;
 use lalr_core::LookaheadSets;
-use lalr_grammar::{Assoc, Grammar, ProdId, Symbol, Terminal};
+use lalr_grammar::{Assoc, Grammar, Precedence, ProdId, Symbol, Terminal};
 
 use crate::action::Action;
 use crate::table::{ParseTable, ProductionInfo, NO_GOTO};
@@ -126,22 +126,32 @@ pub fn build_table(
         }
     }
 
-    // Reductions (with conflict resolution), then the accept action.
+    // Reductions (with conflict resolution), then the accept action. A
+    // reduction point's action and precedence are resolved once, not once
+    // per look-ahead terminal.
     for state in lr0.states() {
         for &prod in lr0.reductions(state) {
             let Some(la) = lookaheads.la(state, prod) else {
                 continue;
             };
+            let new = if prod == ProdId::START {
+                Action::Accept
+            } else {
+                Action::Reduce(prod.index() as u32)
+            };
+            let precedence = grammar.production_precedence(prod);
             for t in la.iter() {
                 let slot = state.index() * terminals as usize + t;
-                let new = if prod == ProdId::START {
-                    Action::Accept
-                } else {
-                    Action::Reduce(prod.index() as u32)
-                };
                 let old = actions[slot];
-                let (kept, resolution) =
-                    resolve(grammar, old, new, Terminal::new(t), prod, options);
+                let (kept, resolution) = resolve(
+                    grammar,
+                    old,
+                    new,
+                    Terminal::new(t),
+                    prod,
+                    precedence,
+                    options,
+                );
                 if let Some(reason) = resolution {
                     resolutions.push(Resolution {
                         state: state.index() as u32,
@@ -189,14 +199,16 @@ pub fn build_table(
     }
 }
 
-/// Decides between an existing entry and a new reduce/accept action.
-/// Returns the kept action and, when there was a conflict, the reason.
+/// Decides between an existing entry and a new reduce/accept action for
+/// `prod`, whose precedence is `prod_precedence`. Returns the kept action
+/// and, when there was a conflict, the reason.
 fn resolve(
     grammar: &Grammar,
     old: Action,
     new: Action,
     terminal: Terminal,
     prod: ProdId,
+    prod_precedence: Option<Precedence>,
     options: TableOptions,
 ) -> (Action, Option<ResolutionReason>) {
     match old {
@@ -205,8 +217,7 @@ fn resolve(
         Action::Shift(_) => {
             // Shift/reduce: try precedence.
             let tp = grammar.precedence_of(terminal);
-            let pp = grammar.production_precedence(prod);
-            match (tp, pp) {
+            match (tp, prod_precedence) {
                 (Some(t), Some(p)) => {
                     if p.level > t.level {
                         (new, Some(ResolutionReason::PrecedenceReduce))
