@@ -7,6 +7,12 @@
 //! installs the counter as the global allocator for every binary, bench
 //! and test of this crate; the counters cost two relaxed atomic adds per
 //! allocation and do not perturb the timings measurably.
+//!
+//! Both counters live in one cache-line-aligned `Counters`, so they
+//! always share exactly one line and no other data does. As two free
+//! statics they landed wherever a build's data layout put them,
+//! sometimes on two lines, so what an allocation cost a multi-threaded
+//! daemon changed from one build to the next.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -14,15 +20,31 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// The system allocator behind relaxed allocation/byte counters.
 pub struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-static BYTES: AtomicUsize = AtomicUsize::new(0);
+/// The allocation and byte counters, alone on one cache line.
+#[repr(align(64))]
+struct Counters {
+    allocations: AtomicUsize,
+    bytes: AtomicUsize,
+}
+
+static COUNTERS: Counters = Counters {
+    allocations: AtomicUsize::new(0),
+    bytes: AtomicUsize::new(0),
+};
+
+impl Counters {
+    /// Counts one allocation request of `bytes`.
+    fn count(&self, bytes: usize) {
+        self.allocations.fetch_add(1, Ordering::Relaxed);
+        self.bytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+}
 
 // SAFETY: delegates verbatim to `System`; the counters are side tables.
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        COUNTERS.count(layout.size());
         System.alloc(layout)
     }
 
@@ -33,8 +55,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow/shrink is one more allocator round-trip; count the newly
         // requested size (the classic `heaptrack` convention).
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size, Ordering::Relaxed);
+        COUNTERS.count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -53,8 +74,8 @@ pub struct AllocStats {
 
 fn snapshot() -> (usize, usize) {
     (
-        ALLOCATIONS.load(Ordering::Relaxed),
-        BYTES.load(Ordering::Relaxed),
+        COUNTERS.allocations.load(Ordering::Relaxed),
+        COUNTERS.bytes.load(Ordering::Relaxed),
     )
 }
 

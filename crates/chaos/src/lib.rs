@@ -35,7 +35,7 @@
 //! | `service.parse.doc` | `Error` (abort the whole batch at a document boundary) |
 //! | `cache.storm`     | `EvictAll`                                       |
 //! | `store.write`     | `Error` (publish fails), `Truncate` (torn file), `PartialWrite`, `Garbage`, `Delay` |
-//! | `store.read`      | `Garbage` (corrupt bytes, checksum-rejected), `Delay` |
+//! | `store.read`      | `Garbage` (corrupt bytes, checksum-rejected), `Panic` (the cache counts it as corrupt and recompiles), `Delay` |
 //!
 //! # Examples
 //!

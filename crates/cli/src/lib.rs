@@ -77,7 +77,7 @@ pub const USAGE: &str = "usage: lalrgen <command> <grammar> [args]
          --threads N sizes the worker pool (default: one worker per CPU);
          each worker runs one compile at a time, sequentially
          --chaos arms deterministic failpoints, e.g. \"daemon.write:partial:0.05\"
-         --store persists compiled artifacts to DIR (mmap-loaded on repeat
+         --store persists compiled artifacts to DIR (read back on repeat
          requests, surviving restarts); --no-store wins over --store
          --shards N multiplexes connections over N epoll event-loop shards
          (the daemon needs the epoll backend: x86-64 Linux)

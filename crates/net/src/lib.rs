@@ -2,9 +2,8 @@
 //!
 //! The workspace's external dependencies are vendored shims; this crate
 //! extends the same discipline to the operating system: instead of
-//! `libc`/`mio`/`memmap2` it issues the handful of Linux syscalls the
-//! daemon and the artifact store need directly (see [`sys`]), and wraps
-//! them in safe types:
+//! `libc`/`mio` it issues the handful of Linux syscalls the daemon needs
+//! directly (see [`sys`]), and wraps them in safe types:
 //!
 //! * [`Poller`] / [`Waker`] — an edge-triggered epoll event loop with
 //!   cross-thread wake-up (eventfd);
@@ -14,9 +13,7 @@
 //!   admission (pure state machine, deterministic under test);
 //! * [`LineReader`] / [`WriteBuf`] — per-connection buffers for
 //!   newline framing with a line-length cap under nonblocking reads and
-//!   partial writes;
-//! * [`Mmap`] — read-only file mappings for zero-copy artifact loads,
-//!   with a `read` fallback so callers have one code path.
+//!   partial writes.
 //!
 //! All `unsafe` in the workspace's service stack lives behind this
 //! crate's [`sys`] module; everything above it (including the epoll
@@ -26,18 +23,16 @@
 
 pub mod bucket;
 pub mod buf;
-pub mod mmap;
 pub mod poll;
 pub mod sys;
 pub mod timer;
 
 pub use bucket::TokenBucket;
 pub use buf::{LineEvent, LineReader, WriteBuf};
-pub use mmap::Mmap;
 pub use poll::{Event, Interest, PollStats, Poller, Waker};
 pub use timer::{Expired, TimerWheel};
 
-/// `true` when the raw epoll/eventfd/mmap backend is available on this
+/// `true` when the raw epoll/eventfd backend is available on this
 /// target (x86-64 Linux).
 pub fn supported() -> bool {
     sys::supported()

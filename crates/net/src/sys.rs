@@ -1,18 +1,16 @@
-//! Raw Linux syscalls for the event loop and the artifact store.
+//! Raw Linux syscalls for the event loop.
 //!
 //! The workspace vendors external crates as offline shims rather than
 //! pulling dependencies, and the same discipline applies here: instead
 //! of `libc`/`mio` this module issues the five syscalls the event loop
 //! needs (`epoll_create1`, `epoll_ctl`, `epoll_wait`, `eventfd2`,
-//! `close`) plus `mmap`/`munmap` for the store and `prlimit64` for
-//! fd-limit introspection, directly via inline assembly on x86-64
-//! Linux. Everything above this module is safe code working with
-//! `io::Result`s.
+//! `close`) plus `prlimit64` for fd-limit introspection, directly via
+//! inline assembly on x86-64 Linux. Everything above this module is
+//! safe code working with `io::Result`s.
 //!
 //! On any other target the functions exist but return
-//! [`std::io::ErrorKind::Unsupported`], so the crate still compiles:
-//! the store falls back to `read`, and the daemon refuses to start with
-//! an error naming the missing backend.
+//! [`std::io::ErrorKind::Unsupported`], so the crate still compiles and
+//! the daemon refuses to start with an error naming the missing backend.
 
 /// One epoll readiness record, laid out as the kernel expects
 /// (`struct epoll_event` is packed on x86-64).
@@ -63,8 +61,6 @@ mod imp {
     const SYS_READ: u64 = 0;
     const SYS_WRITE: u64 = 1;
     const SYS_CLOSE: u64 = 3;
-    const SYS_MMAP: u64 = 9;
-    const SYS_MUNMAP: u64 = 11;
     const SYS_EPOLL_WAIT: u64 = 232;
     const SYS_EPOLL_CTL: u64 = 233;
     const SYS_EVENTFD2: u64 = 290;
@@ -76,9 +72,6 @@ mod imp {
     const EPOLL_CLOEXEC: u64 = 0x80000;
     const EFD_CLOEXEC: u64 = 0x80000;
     const EFD_NONBLOCK: u64 = 0x800;
-
-    const PROT_READ: u64 = 0x1;
-    const MAP_PRIVATE: u64 = 0x2;
 
     /// Issues one syscall; negative returns are `-errno`.
     ///
@@ -181,29 +174,6 @@ mod imp {
         check(ret).map(|_| ())
     }
 
-    pub fn mmap_readonly(fd: i32, len: usize) -> io::Result<*const u8> {
-        // SAFETY: a fresh private read-only mapping at a kernel-chosen
-        // address; no existing memory is affected.
-        let ret = unsafe {
-            syscall6(
-                SYS_MMAP,
-                0,
-                len as u64,
-                PROT_READ,
-                MAP_PRIVATE,
-                fd as u64,
-                0,
-            )
-        };
-        check(ret).map(|addr| addr as *const u8)
-    }
-
-    pub fn munmap(addr: *const u8, len: usize) -> io::Result<()> {
-        // SAFETY: unmapping a region this process previously mapped.
-        let ret = unsafe { syscall6(SYS_MUNMAP, addr as u64, len as u64, 0, 0, 0, 0) };
-        check(ret).map(|_| ())
-    }
-
     pub fn get_nofile() -> io::Result<super::RLimit> {
         let mut lim = super::RLimit { cur: 0, max: 0 };
         // SAFETY: the kernel writes one rlimit64 into `lim` (pid 0 =
@@ -237,19 +207,6 @@ mod imp {
             )
         };
         check(ret).map(|_| ())
-    }
-
-    /// Dereferences a mapped region as a byte slice.
-    ///
-    /// # Safety encapsulation
-    ///
-    /// Only [`crate::Mmap`] calls this, with the pointer and length it
-    /// got from a successful [`mmap_readonly`] and before the matching
-    /// [`munmap`], so the region is live and immutable for the slice's
-    /// lifetime.
-    pub fn map_slice<'a>(addr: *const u8, len: usize) -> &'a [u8] {
-        // SAFETY: see above — addr/len name a live PROT_READ mapping.
-        unsafe { std::slice::from_raw_parts(addr, len) }
     }
 }
 
@@ -286,27 +243,15 @@ mod imp {
     pub fn close(_: i32) -> io::Result<()> {
         unsupported()
     }
-    pub fn mmap_readonly(_: i32, _: usize) -> io::Result<*const u8> {
-        unsupported()
-    }
-    pub fn munmap(_: *const u8, _: usize) -> io::Result<()> {
-        unsupported()
-    }
     pub fn get_nofile() -> io::Result<super::RLimit> {
         unsupported()
     }
     pub fn set_nofile(_: super::RLimit) -> io::Result<()> {
         unsupported()
     }
-    pub fn map_slice<'a>(_: *const u8, _: usize) -> &'a [u8] {
-        &[]
-    }
 }
 
-pub(crate) use imp::{
-    close, epoll_create1, epoll_ctl, epoll_wait, eventfd, map_slice, mmap_readonly, munmap,
-    read_u64, write_u64,
-};
+pub(crate) use imp::{close, epoll_create1, epoll_ctl, epoll_wait, eventfd, read_u64, write_u64};
 
 /// `true` when the raw-syscall backend is available on this target.
 pub fn supported() -> bool {

@@ -108,7 +108,8 @@ pub struct CacheStats {
     pub store_misses: u64,
     /// Fresh compiles published to the disk tier.
     pub store_writes: u64,
-    /// Disk artifacts rejected (checksum/format failure) and recompiled.
+    /// Disk artifacts rejected (checksum/format failure, or a panic
+    /// inside the load) and recompiled.
     pub store_corrupt: u64,
     /// Committed entries right now.
     pub entries: usize,
@@ -288,11 +289,15 @@ impl ArtifactCache {
         // escaped here, Phase 3 would never run, the in-flight slot would
         // never resolve, and every coalesced waiter — plus all future
         // requests for this grammar, which would join the dead flight —
-        // would block on the condvar forever.
+        // would block on the condvar forever. The store load is guarded
+        // the same way: a panic there (a decoder bug, or the `store.read`
+        // failpoint's injected panic) counts as a corrupt file and falls
+        // through to a compile.
         let mut outcome = CacheOutcome::Compiled;
         let mut loaded = None;
         if let Some(store) = &self.store {
-            match store.load(fp, Some(&normalized)) {
+            let load = panic::catch_unwind(AssertUnwindSafe(|| store.load(fp, Some(&normalized))));
+            match load.unwrap_or(Loaded::Corrupt) {
                 Loaded::Hit(record) => {
                     self.store_hits.fetch_add(1, Ordering::Relaxed);
                     loaded = Some(Arc::new(CompiledArtifact::from_record(*record)));

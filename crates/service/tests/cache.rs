@@ -7,7 +7,8 @@ use std::time::Duration;
 
 use lalr_core::Parallelism;
 use lalr_service::{
-    ArtifactCache, CacheConfig, CacheOutcome, CompiledArtifact, GrammarFormat, ServiceError,
+    ArtifactCache, CacheConfig, CacheOutcome, CompiledArtifact, FaultPlan, GrammarFormat,
+    ServiceError,
 };
 
 fn compile_native(text: &str, fp: u64) -> Result<CompiledArtifact, ServiceError> {
@@ -241,5 +242,53 @@ fn fingerprint_replay_over_a_reopened_cache_hits_the_store_tier() {
     assert_eq!(s.store_misses, 0, "{s:?}");
     assert_eq!(s.store_corrupt, 0, "{s:?}");
     assert_eq!(s.hits, 3, "memory-tier hits on the second pass: {s:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A panic inside the store load must not strand the in-flight slot:
+/// the leader counts it as a corrupt file and compiles, and a second
+/// request for the same text is answered instead of blocking on a
+/// flight that never resolves. Each call runs on its own thread under
+/// a `recv_timeout` deadline, so a regression fails instead of hanging.
+#[test]
+fn a_panicking_store_load_falls_through_to_a_compile() {
+    let dir = std::env::temp_dir().join(format!(
+        "lalr-cache-load-panic-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Populate the store, so the next cache's load reaches `store.read`.
+    let seed = ArtifactCache::new(CacheConfig {
+        store: Some(Arc::new(
+            lalr_store::Store::open(&dir).expect("store opens"),
+        )),
+        ..CacheConfig::default()
+    });
+    assert!(seed.get_or_compile(G1, compile_native).0.is_ok());
+    drop(seed);
+
+    let faults = FaultPlan::parse("store.read:panic:@1", 7)
+        .expect("valid spec")
+        .build();
+    let cache = Arc::new(ArtifactCache::new(CacheConfig {
+        store: Some(Arc::new(
+            lalr_store::Store::with_faults(&dir, faults).expect("store opens"),
+        )),
+        ..CacheConfig::default()
+    }));
+    let call = || {
+        let cache = Arc::clone(&cache);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let (result, outcome) = cache.get_or_compile(G1, compile_native);
+            let _ = tx.send((result.is_ok(), outcome));
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+    };
+    assert_eq!(call(), Ok((true, CacheOutcome::Compiled)));
+    assert_eq!(call(), Ok((true, CacheOutcome::Hit)));
+    let s = cache.stats();
+    assert_eq!((s.store_corrupt, s.compiles, s.hits), (1, 1, 1), "{s:?}");
     std::fs::remove_dir_all(&dir).ok();
 }

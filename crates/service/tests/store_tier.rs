@@ -239,3 +239,50 @@ fn leftover_publish_temp_files_do_not_hide_the_committed_artifact() {
     reopened.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A store written by the previous release heals: its files carry an
+/// older format version, so the first load counts them corrupt,
+/// recompiles and republishes in the current format, and the next
+/// service serves the text from disk with the same reply bytes.
+#[test]
+fn a_store_from_the_previous_format_version_heals_by_recompiling() {
+    let dir = temp_store_dir("v1");
+    let compile = Request::Compile {
+        grammar: "e : e \"+\" t | t ; t : \"x\" ;".to_string(),
+        format: GrammarFormat::Native,
+    };
+    let writer = Service::new(with_store(&dir));
+    let reference = normalize(&response_to_line(&writer.call(compile.clone(), None)));
+    writer.shutdown();
+
+    // Turn the artifact into a version-1 file.
+    let files = artifact_files(&dir);
+    assert_eq!(files.len(), 1);
+    let path = dir.join(&files[0]);
+    let version = |bytes: &[u8]| u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let mut bytes = std::fs::read(&path).unwrap();
+    assert_eq!(version(&bytes), lalr_store::FORMAT_VERSION);
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let healer = Service::new(with_store(&dir));
+    let healed = normalize(&response_to_line(&healer.call(compile.clone(), None)));
+    assert_eq!(healed, reference);
+    let stats = healer.stats().cache.expect("cache enabled");
+    assert_eq!(
+        (stats.store_corrupt, stats.compiles, stats.store_writes),
+        (1, 1, 1),
+        "{stats:?}"
+    );
+    healer.shutdown();
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!(version(&bytes), lalr_store::FORMAT_VERSION, "republished");
+
+    let reader = Service::new(with_store(&dir));
+    let served = normalize(&response_to_line(&reader.call(compile, None)));
+    assert_eq!(served, healed);
+    let stats = reader.stats().cache.expect("cache enabled");
+    assert_eq!((stats.store_hits, stats.compiles), (1, 0), "{stats:?}");
+    reader.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}

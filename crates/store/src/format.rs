@@ -1,5 +1,6 @@
-//! The on-disk artifact format: versioned header, checksummed
-//! relocatable sections, little-endian throughout.
+//! The on-disk artifact format, version 2: a versioned header, a
+//! section directory, and checksummed sections, little-endian
+//! throughout.
 //!
 //! ```text
 //! [ header: 64 bytes                                     ]
@@ -11,14 +12,20 @@
 //! [ sections, 8-byte aligned                              ]
 //! ```
 //!
-//! The checksum (FNV-1a 64) covers every byte of the file except the
-//! checksum field itself — header fields, the section table, and all
-//! payload sections — so a torn, truncated, or bit-flipped file is
-//! always detected before any section is decoded.
-//! Offsets are relative to the file start and sections are self-framed,
-//! so a mapped file can be decoded in place without a deserialization
-//! pass over the whole payload: fixed-width sections (the dense ACTION
-//! and GOTO arrays) are sliced directly out of the mapping.
+//! The ACTION, GOTO and COMPRESSED tables are stored as sparse rows, one
+//! per state: a `u64` entry count, then the entries in increasing column
+//! order. An action entry is `terminal u32 · pad u32 · action u64` in
+//! both ACTIONS and COMPRESSED, so one row codec serves both; a GOTO
+//! entry is `nonterminal u32 · target u32`. Error cells and absent gotos
+//! are not stored at all — an LALR table is almost all errors — and
+//! decode scatters the rows into dense arrays prefilled with `Error` and
+//! no-goto.
+//!
+//! The checksum (`file_checksum`) covers every byte of the file, with
+//! the checksum field read as zero, so a torn, truncated, or bit-flipped
+//! file is detected before any section is decoded. [`decode`] then
+//! checks every index before it is written, so a well-checksummed but
+//! malformed file is rejected too, never handed to a parse driver.
 
 use lalr_core::{GrammarClass, MethodAdequacy, RelationStats};
 use lalr_digraph::DigraphStats;
@@ -28,12 +35,21 @@ use lalr_tables::{
 
 /// File magic: 8 bytes at offset 0.
 pub const MAGIC: [u8; 8] = *b"LALRSTOR";
-/// Current format version. Readers reject anything else.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current format version. Readers reject anything else, so a file from
+/// an older release reads as corrupt and is recompiled and republished.
+pub const FORMAT_VERSION: u32 = 2;
 /// Fixed header size.
 pub const HEADER_LEN: usize = 64;
 
 const SECTION_ENTRY_LEN: usize = 24;
+/// A sparse row's header: its `u64` entry count.
+const ROW_HEADER_LEN: usize = 8;
+/// One ACTIONS/COMPRESSED entry: terminal u32, pad u32, action u64.
+const ACTION_ENTRY_LEN: usize = 16;
+/// One GOTOS entry: nonterminal u32, target u32.
+const GOTO_ENTRY_LEN: usize = 8;
+/// An absent dense GOTO cell (see [`ParseTable::gotos_raw`]).
+const NO_GOTO: u32 = u32::MAX;
 
 /// Section kinds (the `kind` field of a section-table entry).
 mod kind {
@@ -79,44 +95,55 @@ pub struct ArtifactRecord {
     pub compressed: CompressedTable,
 }
 
-/// FNV-1a 64-bit — the file checksum. Stable across platforms and
-/// builds, unlike hasher-randomized std hashes.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.update(bytes);
-    h.finish()
-}
-
-/// Streaming FNV-1a 64, so the checksum can skip its own header field
-/// without copying the file.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Byte offset of the checksum field inside the header.
 const CHECKSUM_OFFSET: usize = 32;
 
-/// The file checksum: FNV-1a 64 over every byte of the file *except*
-/// the checksum field itself — so header corruption (including a
-/// flipped fingerprint) is caught, not just payload corruption.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Independent lanes; a block is one 8-byte word per lane.
+const LANES: usize = 4;
+const BLOCK: usize = LANES * 8;
+
+/// The file checksum: an FNV-style multiply-xor over the file as
+/// little-endian 8-byte words, dealt round-robin to four independent
+/// lanes so the multiplies pipeline. The checksum field is read as zero,
+/// the tail is zero-padded to a whole block, and the lanes and then the
+/// file length are folded together last, so padding never aliases real
+/// zero bytes.
+///
+/// Every step `h ← (h ^ w) · P` with an odd `P` is a bijection of `h`
+/// for a fixed `w` and of `w` for a fixed `h`, and the final fold chains
+/// the lanes the same way. A change confined to one aligned 8-byte word
+/// therefore changes exactly one lane's value and always changes the
+/// result — in particular every single-byte flip is detected.
+///
+/// `bytes` must be at least [`HEADER_LEN`] long.
 fn file_checksum(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.update(&bytes[..CHECKSUM_OFFSET]);
-    h.update(&bytes[CHECKSUM_OFFSET + 8..]);
-    h.finish()
+    let mut lanes: [u64; LANES] = std::array::from_fn(|i| FNV_OFFSET ^ i as u64);
+    let mut absorb = |blocks: &[u8]| {
+        for block in blocks.chunks_exact(BLOCK) {
+            for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                let w = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+                *lane = (*lane ^ w).wrapping_mul(FNV_PRIME);
+            }
+        }
+    };
+    // HEADER_LEN is a whole number of blocks, so the body's words land
+    // in the same lanes as they would without the zeroed copy.
+    let mut header = [0u8; HEADER_LEN];
+    header.copy_from_slice(&bytes[..HEADER_LEN]);
+    header[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].fill(0);
+    absorb(&header);
+    let body = &bytes[HEADER_LEN..];
+    let whole = body.len() - body.len() % BLOCK;
+    absorb(&body[..whole]);
+    let mut tail = [0u8; BLOCK];
+    tail[..body.len() - whole].copy_from_slice(&body[whole..]);
+    absorb(&tail);
+    let h = lanes
+        .iter()
+        .fold(FNV_OFFSET, |h, &lane| (h ^ lane).wrapping_mul(FNV_PRIME));
+    (h ^ bytes.len() as u64).wrapping_mul(FNV_PRIME)
 }
 
 // ---------------------------------------------------------------- encode
@@ -147,6 +174,25 @@ impl Writer {
             self.buf.push(0);
         }
     }
+    /// One sparse row: the entry count, then each entry as `put` writes it.
+    fn row<E>(&mut self, entries: impl IntoIterator<Item = E>, put: impl Fn(&mut Writer, E)) {
+        let count_at = self.buf.len();
+        self.u64(0);
+        let mut n = 0u64;
+        for e in entries {
+            put(self, e);
+            n += 1;
+        }
+        self.buf[count_at..count_at + 8].copy_from_slice(&n.to_le_bytes());
+    }
+    /// One sparse action row (ACTIONS and COMPRESSED share the layout).
+    fn action_row(&mut self, entries: impl IntoIterator<Item = (u32, Action)>) {
+        self.row(entries, |w, (t, a)| {
+            w.u32(t);
+            w.u32(0);
+            w.u64(encode_action(a));
+        });
+    }
 }
 
 fn encode_action(a: Action) -> u64 {
@@ -155,17 +201,6 @@ fn encode_action(a: Action) -> u64 {
         Action::Shift(s) => (1u64 << 32) | u64::from(s),
         Action::Reduce(p) => (2u64 << 32) | u64::from(p),
         Action::Accept => 3u64 << 32,
-    }
-}
-
-fn decode_action(v: u64) -> Option<Action> {
-    let arg = (v & 0xffff_ffff) as u32;
-    match v >> 32 {
-        0 if arg == 0 => Some(Action::Error),
-        1 => Some(Action::Shift(arg)),
-        2 => Some(Action::Reduce(arg)),
-        3 if arg == 0 => Some(Action::Accept),
-        _ => None,
     }
 }
 
@@ -224,6 +259,7 @@ pub fn encode(record: &ArtifactRecord) -> Vec<u8> {
 
     sections.push((kind::KEY, record.key.as_bytes().to_vec()));
 
+    let table = &record.table;
     let mut meta = Writer::new();
     let a = &record.adequacy;
     let r = &record.relations;
@@ -231,7 +267,7 @@ pub fn encode(record: &ArtifactRecord) -> Vec<u8> {
         u64::from(record.states),
         u64::from(record.productions),
         u64::from(record.terminals),
-        u64::from(record.table.nonterminal_count()),
+        u64::from(table.nonterminal_count()),
         record.approx_bytes,
         a.lr0_conflicts as u64,
         a.slr_conflicts as u64,
@@ -258,21 +294,38 @@ pub fn encode(record: &ArtifactRecord) -> Vec<u8> {
     }
     sections.push((kind::META, meta.buf));
 
+    let states = table.state_count() as usize;
+    let width = table.terminal_count() as usize;
     let mut actions = Writer::new();
-    for &a in record.table.actions_raw() {
-        actions.u64(encode_action(a));
+    for s in 0..states {
+        let row = &table.actions_raw()[s * width..(s + 1) * width];
+        actions.action_row(
+            (0u32..)
+                .zip(row.iter().copied())
+                .filter(|&(_, a)| !a.is_error()),
+        );
     }
     sections.push((kind::ACTIONS, actions.buf));
 
+    let width = table.nonterminal_count() as usize;
     let mut gotos = Writer::new();
-    for &g in record.table.gotos_raw() {
-        gotos.u32(g);
+    for s in 0..states {
+        let row = &table.gotos_raw()[s * width..(s + 1) * width];
+        gotos.row(
+            (0u32..)
+                .zip(row.iter().copied())
+                .filter(|&(_, g)| g != NO_GOTO),
+            |w, (n, g)| {
+                w.u32(n);
+                w.u32(g);
+            },
+        );
     }
     sections.push((kind::GOTOS, gotos.buf));
 
     let mut prods = Writer::new();
-    prods.u64(record.table.production_count() as u64);
-    for p in record.table.production_infos() {
+    prods.u64(table.production_count() as u64);
+    for p in table.production_infos() {
         prods.u32(p.lhs);
         prods.u32(p.rhs_len);
         prods.str(&p.display);
@@ -280,8 +333,8 @@ pub fn encode(record: &ArtifactRecord) -> Vec<u8> {
     sections.push((kind::PRODUCTIONS, prods.buf));
 
     for (k, names) in [
-        (kind::TERMINAL_NAMES, record.table.terminal_names()),
-        (kind::NONTERMINAL_NAMES, record.table.nonterminal_names()),
+        (kind::TERMINAL_NAMES, table.terminal_names()),
+        (kind::NONTERMINAL_NAMES, table.nonterminal_names()),
     ] {
         let mut w = Writer::new();
         w.u64(names.len() as u64);
@@ -292,8 +345,8 @@ pub fn encode(record: &ArtifactRecord) -> Vec<u8> {
     }
 
     let mut res = Writer::new();
-    res.u64(record.table.resolutions().len() as u64);
-    for x in record.table.resolutions() {
+    res.u64(table.resolutions().len() as u64);
+    for x in table.resolutions() {
         res.u32(x.state);
         res.u32(x.terminal);
         res.u64(encode_action(x.discarded));
@@ -309,12 +362,7 @@ pub fn encode(record: &ArtifactRecord) -> Vec<u8> {
         comp.u64(encode_action(d));
     }
     for row in record.compressed.rows_raw() {
-        comp.u64(row.len() as u64);
-        for &(t, a) in row {
-            comp.u32(t);
-            comp.u32(0);
-            comp.u64(encode_action(a));
-        }
+        comp.action_row(row.iter().copied());
     }
     sections.push((kind::COMPRESSED, comp.buf));
 
@@ -402,6 +450,11 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, FormatError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+    /// A table dimension: stored as a `u64`, but must fit the `u32`
+    /// indices the tables use.
+    fn dim(&mut self) -> Result<u32, FormatError> {
+        u32::try_from(self.u64()?).map_err(|_| FormatError("dimension exceeds u32".into()))
+    }
     fn str(&mut self) -> Result<String, FormatError> {
         let len = self.u64()?;
         let len = usize::try_from(len).map_err(|_| FormatError("string too long".into()))?;
@@ -412,9 +465,6 @@ impl<'a> Reader<'a> {
             Ok(s) => Ok(s.to_string()),
             Err(_) => err("string is not UTF-8"),
         }
-    }
-    fn action(&mut self) -> Result<Action, FormatError> {
-        decode_action(self.u64()?).ok_or_else(|| FormatError("invalid action encoding".into()))
     }
     fn count(&mut self, width: usize) -> Result<usize, FormatError> {
         let n = self.u64()?;
@@ -427,6 +477,82 @@ impl<'a> Reader<'a> {
             return err("count runs past section");
         }
         Ok(n)
+    }
+    /// The next sparse row: its entry count, then its entries as
+    /// `width`-byte chunks, read in bulk rather than field by field.
+    fn row(&mut self, width: usize) -> Result<std::slice::ChunksExact<'a, u8>, FormatError> {
+        let n = self.count(width)?;
+        Ok(self.take(n * width)?.chunks_exact(width))
+    }
+    /// Requires the section to be fully consumed.
+    fn end(&self) -> Result<(), FormatError> {
+        if self.pos != self.buf.len() {
+            return err("trailing bytes after the last row");
+        }
+        Ok(())
+    }
+}
+
+/// The little-endian `u32` at `at` in an entry chunk.
+fn le_u32(entry: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(entry[at..at + 4].try_into().expect("4-byte field"))
+}
+
+/// The little-endian `u64` at `at` in an entry chunk.
+fn le_u64(entry: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(entry[at..at + 8].try_into().expect("8-byte field"))
+}
+
+/// The dimensions every decoded index is checked against.
+struct Dims {
+    states: u32,
+    productions: u32,
+    terminals: u32,
+}
+
+impl Dims {
+    /// Decodes an action whose Shift target or Reduce production is in
+    /// range. There is one bound per tag, so the check does not branch
+    /// on the action kind: Error and Accept carry 0, and an unknown tag
+    /// admits nothing.
+    fn action(&self, raw: u64) -> Result<Action, FormatError> {
+        let (tag, arg) = (raw >> 32, raw as u32);
+        let bound = match tag {
+            0 | 3 => 1,
+            1 => self.states,
+            2 => self.productions,
+            _ => 0,
+        };
+        if arg >= bound {
+            return err("invalid or out-of-range action");
+        }
+        Ok(match tag {
+            0 => Action::Error,
+            1 => Action::Shift(arg),
+            2 => Action::Reduce(arg),
+            _ => Action::Accept,
+        })
+    }
+
+    /// Hands each entry of one sparse action row to `put`, after
+    /// checking that its terminal is in range and above the previous
+    /// one's, and that its action is a non-error action in range.
+    fn action_row(
+        &self,
+        entries: std::slice::ChunksExact<'_, u8>,
+        mut put: impl FnMut(u32, Action),
+    ) -> Result<(), FormatError> {
+        let mut next = 0;
+        for e in entries {
+            let t = le_u32(e, 0);
+            let a = self.action(le_u64(e, 8))?;
+            if t < next || t >= self.terminals || a.is_error() {
+                return err("action row entry out of order or range");
+            }
+            put(t, a);
+            next = t + 1;
+        }
+        Ok(())
     }
 }
 
@@ -508,20 +634,44 @@ fn section<'a>(bytes: &'a [u8], info: &FileInfo, k: u32) -> Result<&'a [u8], For
     err(format!("missing section kind {k}"))
 }
 
-/// Decodes a full record from checksum-verified bytes.
+/// Decodes a full record from a file's bytes, after [`inspect`].
+///
+/// Every index is checked before it is written, so a malformed file —
+/// even one whose checksum was recomputed over it — decodes as an
+/// error, never as a record whose tables a driver could index out of
+/// range:
+///
+/// * before any table allocation, META's `states` must be backed by a
+///   row header in ACTIONS and in GOTOS and equal COMPRESSED's state
+///   count, and `terminals` and `nonterminals` must equal the counts of
+///   the two name sections — which bounds the dense arrays by a
+///   function of the file length;
+/// * ACTIONS and COMPRESSED entries: terminal in range and strictly
+///   increasing within the row, no explicit `Error`, Shift target and
+///   Reduce production in range;
+/// * GOTOS entries: nonterminal in range and strictly increasing,
+///   target in range;
+/// * compressed defaults, production left-hand sides, and each
+///   resolution's state, terminal and actions are in range too.
 pub fn decode(bytes: &[u8]) -> Result<ArtifactRecord, FormatError> {
     let info = inspect(bytes)?;
+    let sec = |k| section(bytes, &info, k);
 
-    let key = match std::str::from_utf8(section(bytes, &info, kind::KEY)?) {
+    let key = match std::str::from_utf8(sec(kind::KEY)?) {
         Ok(s) => s.to_string(),
         Err(_) => return err("key is not UTF-8"),
     };
 
-    let mut m = Reader::new(section(bytes, &info, kind::META)?);
-    let states = m.u64()? as u32;
-    let productions = m.u64()? as u32;
-    let terminals = m.u64()? as u32;
-    let nonterminals = m.u64()? as u32;
+    let mut m = Reader::new(sec(kind::META)?);
+    let states = m.dim()?;
+    let productions = m.dim()?;
+    let terminals = m.dim()?;
+    let nonterminals = m.dim()?;
+    let dims = Dims {
+        states,
+        productions,
+        terminals,
+    };
     let approx_bytes = m.u64()?;
     let adequacy = MethodAdequacy {
         lr0_conflicts: m.u64()? as usize,
@@ -552,32 +702,20 @@ pub fn decode(bytes: &[u8]) -> Result<ArtifactRecord, FormatError> {
     let reads = digraph(&mut m)?;
     let includes = digraph(&mut m)?;
 
-    // The fixed-width arrays decode straight off the mapped bytes.
-    let actions_bytes = section(bytes, &info, kind::ACTIONS)?;
-    if actions_bytes.len() != states as usize * terminals as usize * 8 {
-        return err("ACTION section size disagrees with dimensions");
-    }
-    let mut actions = Vec::with_capacity(states as usize * terminals as usize);
-    let mut r = Reader::new(actions_bytes);
-    for _ in 0..states as usize * terminals as usize {
-        actions.push(r.action()?);
-    }
-
-    let gotos_bytes = section(bytes, &info, kind::GOTOS)?;
-    if gotos_bytes.len() != states as usize * nonterminals as usize * 4 {
-        return err("GOTO section size disagrees with dimensions");
-    }
-    let mut gotos = Vec::with_capacity(states as usize * nonterminals as usize);
-    let mut r = Reader::new(gotos_bytes);
-    for _ in 0..states as usize * nonterminals as usize {
-        gotos.push(r.u32()?);
-    }
-
-    let mut r = Reader::new(section(bytes, &info, kind::PRODUCTIONS)?);
+    // Everything whose length a count in the file sets is bounded by its
+    // own section's bytes (`Reader::count`); the names also pin
+    // `terminals` and `nonterminals`.
+    let mut r = Reader::new(sec(kind::PRODUCTIONS)?);
     let n = r.count(16)?;
+    if n != productions as usize {
+        return err("production count disagrees with META");
+    }
     let mut prod_infos = Vec::with_capacity(n);
     for _ in 0..n {
         let lhs = r.u32()?;
+        if lhs >= nonterminals {
+            return err("production left-hand side out of range");
+        }
         let rhs_len = r.u32()?;
         let display = r.str()?;
         prod_infos.push(ProductionInfo {
@@ -586,29 +724,33 @@ pub fn decode(bytes: &[u8]) -> Result<ArtifactRecord, FormatError> {
             display,
         });
     }
-    if prod_infos.len() != productions as usize {
-        return err("production count disagrees with META");
-    }
 
     let names = |k: u32, expect: u32| -> Result<Vec<String>, FormatError> {
-        let mut r = Reader::new(section(bytes, &info, k)?);
+        let mut r = Reader::new(sec(k)?);
         let n = r.count(8)?;
         if n != expect as usize {
             return err("name count disagrees with META");
         }
-        (0..n).map(|_| r.str()).collect()
+        let mut names = Vec::with_capacity(n);
+        for _ in 0..n {
+            names.push(r.str()?);
+        }
+        Ok(names)
     };
     let terminal_names = names(kind::TERMINAL_NAMES, terminals)?;
     let nonterminal_names = names(kind::NONTERMINAL_NAMES, nonterminals)?;
 
-    let mut r = Reader::new(section(bytes, &info, kind::RESOLUTIONS)?);
+    let mut r = Reader::new(sec(kind::RESOLUTIONS)?);
     let n = r.count(32)?;
     let mut resolutions = Vec::with_capacity(n);
     for _ in 0..n {
         let state = r.u32()?;
         let terminal = r.u32()?;
-        let discarded = r.action()?;
-        let kept = r.action()?;
+        if state >= states || terminal >= terminals {
+            return err("resolution cell out of range");
+        }
+        let discarded = dims.action(r.u64()?)?;
+        let kept = dims.action(r.u64()?)?;
         let reason =
             reason_of(r.u64()?).ok_or_else(|| FormatError("invalid resolution reason".into()))?;
         resolutions.push(Resolution {
@@ -620,33 +762,65 @@ pub fn decode(bytes: &[u8]) -> Result<ArtifactRecord, FormatError> {
         });
     }
 
-    let mut r = Reader::new(section(bytes, &info, kind::COMPRESSED)?);
-    let comp_states = r.count(8)?;
-    if comp_states != states as usize {
-        return err("compressed state count disagrees with META");
+    // `states` must be backed by the row sections before the dense
+    // arrays are allocated.
+    let mut actions_rows = Reader::new(sec(kind::ACTIONS)?);
+    let mut goto_rows = Reader::new(sec(kind::GOTOS)?);
+    let mut comp = Reader::new(sec(kind::COMPRESSED)?);
+    let rows = states as usize;
+    if rows > actions_rows.buf.len() / ROW_HEADER_LEN
+        || rows > goto_rows.buf.len() / ROW_HEADER_LEN
+        || comp.u64()? != u64::from(states)
+    {
+        return err("state count is not backed by the table sections");
     }
-    let comp_terminals = r.u64()? as u32;
-    let mut defaults = Vec::with_capacity(comp_states);
-    for _ in 0..comp_states {
-        defaults.push(r.action()?);
+    let (Some(action_cells), Some(goto_cells)) = (
+        states.checked_mul(terminals),
+        states.checked_mul(nonterminals),
+    ) else {
+        return err("table dimensions overflow");
+    };
+
+    let width = terminals as usize;
+    let mut actions = vec![Action::Error; action_cells as usize];
+    for s in 0..rows {
+        let cells = &mut actions[s * width..(s + 1) * width];
+        let entries = actions_rows.row(ACTION_ENTRY_LEN)?;
+        dims.action_row(entries, |t, a| cells[t as usize] = a)?;
     }
-    let mut rows = Vec::with_capacity(comp_states);
-    for _ in 0..comp_states {
-        let entries = r.count(16)?;
-        let mut row = Vec::with_capacity(entries);
-        let mut last: Option<u32> = None;
-        for _ in 0..entries {
-            let t = r.u32()?;
-            let _pad = r.u32()?;
-            let a = r.action()?;
-            if last.is_some_and(|l| l >= t) {
-                return err("compressed row not sorted");
+    actions_rows.end()?;
+
+    let width = nonterminals as usize;
+    let mut gotos = vec![NO_GOTO; goto_cells as usize];
+    for s in 0..rows {
+        let cells = &mut gotos[s * width..(s + 1) * width];
+        let mut next = 0;
+        for e in goto_rows.row(GOTO_ENTRY_LEN)? {
+            let (n, target) = (le_u32(e, 0), le_u32(e, 4));
+            if n < next || n >= nonterminals || target >= states {
+                return err("goto entry out of order or range");
             }
-            last = Some(t);
-            row.push((t, a));
+            cells[n as usize] = target;
+            next = n + 1;
         }
-        rows.push(row);
     }
+    goto_rows.end()?;
+
+    if comp.u64()? != u64::from(terminals) {
+        return err("compressed terminal count disagrees with META");
+    }
+    let mut defaults = Vec::with_capacity(rows);
+    for d in comp.take(rows * 8)?.chunks_exact(8) {
+        defaults.push(dims.action(le_u64(d, 0))?);
+    }
+    let mut comp_rows = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        let entries = comp.row(ACTION_ENTRY_LEN)?;
+        let mut row = Vec::with_capacity(entries.len());
+        dims.action_row(entries, |t, a| row.push((t, a)))?;
+        comp_rows.push(row);
+    }
+    comp.end()?;
 
     let table = ParseTable::from_raw_parts(
         actions,
@@ -659,7 +833,7 @@ pub fn decode(bytes: &[u8]) -> Result<ArtifactRecord, FormatError> {
         nonterminal_names,
         resolutions,
     );
-    let compressed = CompressedTable::from_raw_parts(rows, defaults, comp_terminals);
+    let compressed = CompressedTable::from_raw_parts(comp_rows, defaults, terminals);
 
     Ok(ArtifactRecord {
         fingerprint: info.fingerprint,
@@ -692,16 +866,19 @@ pub(crate) mod tests {
     use super::*;
     use lalr_automata::Lr0Automaton;
     use lalr_core::LalrAnalysis;
-    use lalr_grammar::parse_grammar;
+    use lalr_grammar::{parse_grammar, Grammar};
     use lalr_tables::{build_table, TableOptions};
 
     pub(crate) fn sample_record(src: &str, key: &str, fingerprint: u64) -> ArtifactRecord {
-        let g = parse_grammar(src).unwrap();
-        let lr0 = Lr0Automaton::build(&g);
-        let analysis = LalrAnalysis::compute(&g, &lr0);
-        let adequacy = lalr_core::classify(&g);
-        let relations = lalr_core::Relations::build(&g, &lr0).stats();
-        let table = build_table(&g, &lr0, analysis.lookaheads(), TableOptions::default());
+        record_of(&parse_grammar(src).unwrap(), key, fingerprint)
+    }
+
+    fn record_of(g: &Grammar, key: &str, fingerprint: u64) -> ArtifactRecord {
+        let lr0 = Lr0Automaton::build(g);
+        let analysis = LalrAnalysis::compute(g, &lr0);
+        let adequacy = lalr_core::classify(g);
+        let relations = lalr_core::Relations::build(g, &lr0).stats();
+        let table = build_table(g, &lr0, analysis.lookaheads(), TableOptions::default());
         let compressed = CompressedTable::from_dense(&table);
         ArtifactRecord {
             fingerprint,
@@ -729,6 +906,57 @@ pub(crate) mod tests {
         }
     }
 
+    /// Re-stamps `total_len` (header bytes 16..24) and the checksum
+    /// after a mutation, so the mutant gets past [`inspect`] to the
+    /// section decoders.
+    fn reseal(bytes: &mut [u8]) {
+        if bytes.len() < HEADER_LEN {
+            return;
+        }
+        let len = bytes.len() as u64;
+        bytes[16..24].copy_from_slice(&len.to_le_bytes());
+        let sum = file_checksum(bytes);
+        bytes[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// Every index a decoded record can hand a parse driver is in range.
+    fn assert_indices_in_range(rec: &ArtifactRecord) {
+        let t = &rec.table;
+        let (states, terminals) = (t.state_count(), t.terminal_count());
+        let productions = t.production_count() as u32;
+        let in_range = |a: Action| match a {
+            Action::Shift(s) => s < states,
+            Action::Reduce(p) => p < productions,
+            Action::Accept | Action::Error => true,
+        };
+        assert_eq!(rec.states, states);
+        assert_eq!(rec.terminals, terminals);
+        assert_eq!(rec.productions, productions);
+        assert_eq!(t.actions_raw().len(), (states * terminals) as usize);
+        assert!(t.actions_raw().iter().all(|&a| in_range(a)));
+        assert_eq!(
+            t.gotos_raw().len(),
+            (states * t.nonterminal_count()) as usize
+        );
+        assert!(t.gotos_raw().iter().all(|&g| g == NO_GOTO || g < states));
+        assert!(t
+            .production_infos()
+            .iter()
+            .all(|p| p.lhs < t.nonterminal_count()));
+        assert_eq!(t.terminal_names().len(), terminals as usize);
+        for r in t.resolutions() {
+            assert!(r.state < states && r.terminal < terminals);
+            assert!(in_range(r.kept) && in_range(r.discarded));
+        }
+        let c = &rec.compressed;
+        assert_eq!(c.state_count(), states as usize);
+        assert_eq!(c.terminal_count(), terminals);
+        assert!(c.defaults_raw().iter().all(|&d| in_range(d)));
+        for row in c.rows_raw() {
+            assert!(row.iter().all(|&(t, a)| t < terminals && in_range(a)));
+        }
+    }
+
     #[test]
     fn round_trip_preserves_every_field() {
         let rec = sample_record(
@@ -739,6 +967,26 @@ pub(crate) mod tests {
         let bytes = encode(&rec);
         let back = decode(&bytes).unwrap();
         assert_eq!(back, rec);
+
+        // Every corpus grammar, and the two largest synthetic families
+        // the store sees.
+        let mut grammars: Vec<(String, Grammar)> = lalr_corpus::all_entries()
+            .into_iter()
+            .map(|e| (e.name.to_string(), e.grammar()))
+            .collect();
+        grammars.push((
+            "expr_ladder(80)".into(),
+            lalr_corpus::synthetic::expr_ladder(80),
+        ));
+        grammars.push((
+            "wide_forest(100)".into(),
+            lalr_corpus::synthetic::wide_forest(100),
+        ));
+        for (name, g) in &grammars {
+            let rec = record_of(g, name, 0x5EED);
+            let back = decode(&encode(&rec)).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(back == rec, "{name}: the round trip changed a field");
+        }
     }
 
     #[test]
@@ -787,7 +1035,7 @@ pub(crate) mod tests {
     fn version_bump_is_rejected() {
         let rec = sample_record("s : \"a\" ;", "k", 1);
         let mut bytes = encode(&rec);
-        bytes[8] = 2; // version field
+        bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         let e = decode(&bytes).unwrap_err();
         assert!(e.0.contains("version"), "{e}");
     }
@@ -802,5 +1050,89 @@ pub(crate) mod tests {
                 assert_eq!(rec.compressed.action(s, t), back.compressed.action(s, t));
             }
         }
+    }
+
+    #[test]
+    fn dimensions_no_section_backs_are_rejected() {
+        let rec = sample_record("e : e \"+\" t | t ; t : \"x\" ;", "k", 5);
+        let bytes = encode(&rec);
+        let info = inspect(&bytes).unwrap();
+        let (_, meta, _) = info.sections.iter().find(|s| s.0 == kind::META).unwrap();
+        // META's first four words: states, productions, terminals,
+        // nonterminals.
+        for (field, claim) in [
+            (0, u64::from(rec.states) + 1),
+            (0, 1 << 20),
+            (0, 1 << 40),
+            (1, u64::from(rec.productions) + 1),
+            (2, u64::from(rec.terminals) + 1),
+            (3, 1 << 20),
+        ] {
+            let mut copy = bytes.clone();
+            let at = *meta as usize + 8 * field;
+            copy[at..at + 8].copy_from_slice(&claim.to_le_bytes());
+            reseal(&mut copy);
+            assert!(decode(&copy).is_err(), "META word {field} = {claim}");
+        }
+    }
+
+    #[test]
+    fn resealed_mutants_decode_to_errors_or_in_range_records() {
+        // The expression grammar, one with precedence resolutions, and
+        // one with more than 128 terminals.
+        let wide: Vec<String> = (0..140).map(|i| format!("\"t{i}\"")).collect();
+        let sources = [
+            "e : e \"+\" t | t ; t : t \"*\" f | f ; f : \"(\" e \")\" | \"x\" ;".to_string(),
+            "%left \"+\" \"-\"\n%left \"*\"\n%nonassoc \"<\"\n\
+             e : e \"+\" e | e \"-\" e | e \"*\" e | e \"<\" e | \"(\" e \")\" | \"x\" ;"
+                .to_string(),
+            format!("s : {} | \"t0\" s ;", wide.join(" ")),
+        ];
+        let records: Vec<ArtifactRecord> = sources
+            .iter()
+            .map(|src| sample_record(src, src, 11))
+            .collect();
+        assert!(!records[1].table.resolutions().is_empty());
+        assert!(records[2].terminals > 128);
+        let encoded: Vec<Vec<u8>> = records.iter().map(encode).collect();
+
+        // xorshift64*: a seeded, dependency-free mutation stream.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: usize| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as usize % bound
+        };
+        let (mut rejected, mut decoded) = (0, 0);
+        for case in 0..21_000 {
+            let mut bytes = encoded[case % encoded.len()].clone();
+            match next(10) {
+                0 => bytes.truncate(next(bytes.len())),
+                1 => {
+                    for _ in 0..1 + next(24) {
+                        bytes.push(next(256) as u8);
+                    }
+                }
+                _ => {
+                    for _ in 0..1 + next(3) {
+                        let at = next(bytes.len());
+                        // Small values hit counts, tags and indices.
+                        bytes[at] = (if next(2) == 0 { next(7) } else { next(256) }) as u8;
+                    }
+                }
+            }
+            reseal(&mut bytes);
+            match decode(&bytes) {
+                Ok(rec) => {
+                    assert_indices_in_range(&rec);
+                    decoded += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        // Both outcomes must actually occur for the property to mean
+        // anything.
+        assert!(rejected > 1_000 && decoded > 1_000, "{rejected}/{decoded}");
     }
 }

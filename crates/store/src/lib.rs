@@ -3,13 +3,15 @@
 //! DeRemer & Pennello's economics are compile-once/reuse-forever; this
 //! crate extends "forever" across process restarts. A [`Store`] is a
 //! directory of [`ArtifactRecord`] files keyed by the service's content
-//! fingerprint, serialized in a relocatable sectioned binary format
-//! (see [`format`]): fixed 64-byte header (magic, format version,
-//! total length, fingerprint, FNV-1a payload checksum), a section
+//! fingerprint, serialized in a sectioned binary format (see
+//! [`format`](mod@format)): a fixed 64-byte header (magic, format
+//! version, total length, fingerprint, word-lane checksum), a section
 //! directory of `(kind, offset, len)` triples, and 8-byte-aligned
-//! section bodies — dense ACTION/GOTO arrays land as raw little-endian
-//! words, so a memory-mapped load (via [`lalr_net::Mmap`]) slices them
-//! straight out of the page cache.
+//! section bodies. The ACTION and GOTO tables are stored as sparse
+//! sorted rows — an LALR table is almost all error entries — and a load
+//! decodes them back into the same dense in-memory
+//! [`lalr_tables::ParseTable`], checking every index before it is
+//! written.
 //!
 //! Durability is rename-based: publishes write a process-unique temp
 //! file, `fsync`, then atomically rename over the final name. A crash
@@ -21,8 +23,9 @@
 //! a garbage parse table.
 //!
 //! Failpoints `store.write` (clean error / torn / truncated / garbage
-//! publishes) and `store.read` (checksum corruption on the read path)
-//! make both failure families deterministically injectable.
+//! publishes) and `store.read` (checksum corruption on the read path,
+//! or a panic inside the load) make both failure families
+//! deterministically injectable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,19 +1,28 @@
 //! The content-addressed store directory: crash-safe publishes, checked
 //! loads, and the `ls`/`verify`/`gc` maintenance operations.
 
+use std::cell::RefCell;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime};
 
 use lalr_chaos::{Fault, FaultInjector};
-use lalr_net::Mmap;
 
 use crate::format::{self, ArtifactRecord};
 
 /// Artifact file extension.
 const EXT: &str = "lalr";
+
+/// The largest file buffer a thread keeps between loads. A larger file
+/// is still read, into a buffer that is freed afterwards.
+const KEEP_FILE_BUF: usize = 1 << 20;
+
+thread_local! {
+    /// The calling thread's file buffer for [`Store::load`].
+    static FILE_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
 
 /// A directory of artifacts, one file per fingerprint
 /// (`<fp as 16 hex digits>.lalr`).
@@ -172,34 +181,52 @@ impl Store {
     /// With `expected_key` the stored key must match exactly
     /// (hash-then-confirm, like the in-memory cache); a valid file for
     /// a different key is a [`Loaded::Miss`]. The `store.read`
-    /// failpoint corrupts the in-memory view of the checksum, so an
-    /// armed read behaves exactly like on-disk corruption.
+    /// failpoint corrupts the bytes read before they are checked, so an
+    /// armed read behaves exactly like on-disk corruption; its `panic`
+    /// fault panics inside the load instead.
+    ///
+    /// The file is read, not memory-mapped. A record is a few hundred KB
+    /// at most, so the copy out of the page cache costs microseconds, while
+    /// unmapping a file in a multi-threaded daemon makes every other CPU
+    /// running it flush its TLB and waits for them all — an
+    /// inter-processor round trip per load whose length, on a shared
+    /// virtual machine, depends on how busy the host is. The bytes go
+    /// into a buffer the calling thread keeps between loads, so a load
+    /// does not allocate and free a record-sized buffer either: that
+    /// would make its cost depend on whether the allocator happens to
+    /// return the freed memory to the kernel.
     pub fn load(&self, fingerprint: u64, expected_key: Option<&str>) -> Loaded {
-        let path = self.path_for(fingerprint);
-        let file = match File::open(&path) {
-            Ok(f) => f,
+        FILE_BUF.with_borrow_mut(|buf| {
+            let loaded = self.load_into(buf, fingerprint, expected_key);
+            if buf.capacity() > KEEP_FILE_BUF {
+                *buf = Vec::new();
+            }
+            loaded
+        })
+    }
+
+    fn load_into(
+        &self,
+        bytes: &mut Vec<u8>,
+        fingerprint: u64,
+        expected_key: Option<&str>,
+    ) -> Loaded {
+        bytes.clear();
+        let read = File::open(self.path_for(fingerprint)).and_then(|mut f| f.read_to_end(bytes));
+        match read {
+            Ok(_) => {}
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Loaded::Miss,
             Err(_) => return Loaded::Corrupt,
-        };
-        let map = match Mmap::map(&file) {
-            Ok(m) => m,
-            Err(_) => return Loaded::Corrupt,
-        };
-        let mut owned: Option<Vec<u8>> = None;
+        }
         match self.faults.at("store.read") {
             Some(Fault::Delay(ms)) => std::thread::sleep(Duration::from_millis(ms)),
-            Some(_) => {
-                // Any other armed fault models read-path corruption:
-                // flip a byte inside the checksum field.
-                let mut c = map.to_vec();
-                if c.len() > 24 {
-                    c[24] ^= 0xFF;
-                }
-                owned = Some(c);
-            }
-            None => {}
+            Some(Fault::Panic) => panic!("injected fault at store.read"),
+            // Any other armed fault models read-path corruption: flip a
+            // byte of the header's fingerprint field, which the checksum
+            // covers.
+            Some(_) if bytes.len() > 24 => bytes[24] ^= 0xFF,
+            _ => {}
         }
-        let bytes: &[u8] = owned.as_deref().unwrap_or(&map);
         let record = match format::decode(bytes) {
             Ok(r) => r,
             Err(_) => return Loaded::Corrupt,
@@ -243,10 +270,9 @@ impl Store {
     pub fn verify(&self) -> io::Result<VerifyReport> {
         let mut report = VerifyReport::default();
         for entry in self.ls()? {
-            let result = File::open(&entry.path)
+            let result = fs::read(&entry.path)
                 .map_err(|e| e.to_string())
-                .and_then(|f| Mmap::map(&f).map_err(|e| e.to_string()))
-                .and_then(|m| format::decode(&m).map_err(|e| e.to_string()));
+                .and_then(|b| format::decode(&b).map_err(|e| e.to_string()));
             match result {
                 Ok(record) if record.fingerprint == entry.fingerprint => report.ok += 1,
                 Ok(_) => report
@@ -384,6 +410,28 @@ mod tests {
         assert!(matches!(store.load(9, Some("k")), Loaded::Corrupt));
         // The file itself is fine: the next read succeeds.
         assert!(matches!(store.load(9, Some("k")), Loaded::Hit(_)));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_load_buffer_is_kept_unless_a_file_outgrows_it() {
+        let dir = temp_store_dir("loadbuf");
+        let store = Store::open(&dir).unwrap();
+        let rec = record("k", 5);
+        store.publish(&rec).unwrap();
+        assert!(matches!(store.load(5, Some("k")), Loaded::Hit(_)));
+        let kept = FILE_BUF.with_borrow(Vec::capacity);
+        assert!(kept > 0);
+        // Loading again reuses the buffer, and still decodes the record.
+        match store.load(5, Some("k")) {
+            Loaded::Hit(back) => assert_eq!(*back, rec),
+            other => panic!("expected hit, got {other:?}"),
+        }
+        assert_eq!(FILE_BUF.with_borrow(Vec::capacity), kept);
+        // A file past the cap reads as corrupt and its buffer is freed.
+        fs::write(store.path_for(6), vec![0u8; KEEP_FILE_BUF + 1]).unwrap();
+        assert!(matches!(store.load(6, None), Loaded::Corrupt));
+        assert_eq!(FILE_BUF.with_borrow(Vec::capacity), 0);
         fs::remove_dir_all(&dir).ok();
     }
 
