@@ -34,7 +34,7 @@ use lalr_automata::Lr0Automaton;
 use lalr_core::{classify, LalrAnalysis, Parallelism};
 use lalr_grammar::{Grammar, GrammarStats};
 use lalr_runtime::{Lexer, Parser};
-use lalr_tables::{build_table, TableOptions};
+use lalr_tables::{build_table, resolutions, TableOptions};
 
 /// A CLI failure: message plus suggested exit code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -350,9 +350,15 @@ fn cmd_table(args: &[String]) -> Result<String, CliError> {
         TableOptions::default(),
     );
     let mut out = table.to_string();
-    if !table.resolutions().is_empty() {
-        let _ = writeln!(out, "\n{} conflict(s) resolved:", table.resolutions().len());
-        for r in table.resolutions() {
+    let log = resolutions(
+        &grammar,
+        &lr0,
+        analysis.lookaheads(),
+        TableOptions::default(),
+    );
+    if !log.is_empty() {
+        let _ = writeln!(out, "\n{} conflict(s) resolved:", log.len());
+        for r in &log {
             let _ = writeln!(
                 out,
                 "  state {} on {:?}: kept {} over {} ({:?})",
@@ -1877,6 +1883,16 @@ mod tests {
         let out = run_strs(&["table", "expr"]).unwrap();
         assert!(out.contains("state"));
         assert!(out.contains("acc"));
+    }
+
+    #[test]
+    fn table_lists_each_resolution() {
+        let out = run_strs(&["table", "dangling_else"]).unwrap();
+        let (_, resolved) = out.split_once("\n\n").expect("a resolution list");
+        assert_eq!(
+            resolved,
+            "1 conflict(s) resolved:\n  state 4 on \"else\": kept s5 over r2 (DefaultShift)\n"
+        );
     }
 
     #[test]

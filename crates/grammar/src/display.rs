@@ -26,17 +26,25 @@ impl Grammar {
     ///
     /// Panics if `id` is out of range.
     pub fn production_to_string(&self, id: ProdId) -> String {
+        const EMPTY: &str = " %empty";
         let p = self.production(id);
-        let rhs = if p.is_empty() {
-            "%empty".to_string()
+        let lhs = self.nonterminal_name(p.lhs());
+        let rhs_len = if p.is_empty() {
+            EMPTY.len()
         } else {
-            p.rhs()
-                .iter()
-                .map(|&s| self.name_of(s))
-                .collect::<Vec<_>>()
-                .join(" ")
+            p.rhs().iter().map(|&s| 1 + self.name_of(s).len()).sum()
         };
-        format!("{} -> {}", self.nonterminal_name(p.lhs()), rhs)
+        let mut out = String::with_capacity(lhs.len() + 3 + rhs_len);
+        out.push_str(lhs);
+        out.push_str(" ->");
+        if p.is_empty() {
+            out.push_str(EMPTY);
+        }
+        for &s in p.rhs() {
+            out.push(' ');
+            out.push_str(self.name_of(s));
+        }
+        out
     }
 }
 

@@ -1281,7 +1281,7 @@ impl Inner {
             } => match self.artifact(grammar, *format, trace) {
                 Ok((artifact, _)) => Response::Table(TableSummary {
                     text: artifact.table().to_string(),
-                    resolutions: artifact.table().resolutions().len(),
+                    resolutions: artifact.table().resolution_count(),
                     action_entries: artifact.table().stats().action_entries,
                     compressed_entries: compressed
                         .then(|| artifact.compressed().explicit_entries()),

@@ -243,26 +243,39 @@ fn leftover_publish_temp_files_do_not_hide_the_committed_artifact() {
 /// A store written by the previous release heals: its files carry an
 /// older format version, so the first load counts them corrupt,
 /// recompiles and republishes in the current format, and the next
-/// service serves the text from disk with the same reply bytes.
+/// service serves the text from disk with the same reply bytes — the
+/// `table` reply's resolution count included.
 #[test]
 fn a_store_from_the_previous_format_version_heals_by_recompiling() {
-    let dir = temp_store_dir("v1");
+    let dir = temp_store_dir("previous");
+    // Dangling else: one shift/reduce conflict, resolved by yacc's default.
+    let grammar = "s : \"if\" s \"else\" s | \"if\" s | \"x\" ;".to_string();
     let compile = Request::Compile {
-        grammar: "e : e \"+\" t | t ; t : \"x\" ;".to_string(),
+        grammar: grammar.clone(),
         format: GrammarFormat::Native,
+    };
+    let table = Request::Table {
+        grammar,
+        format: GrammarFormat::Native,
+        compressed: true,
     };
     let writer = Service::new(with_store(&dir));
     let reference = normalize(&response_to_line(&writer.call(compile.clone(), None)));
+    let table_reference = response_to_line(&writer.call(table.clone(), None));
+    assert!(
+        table_reference.contains("\"resolutions\":1,"),
+        "{table_reference}"
+    );
     writer.shutdown();
 
-    // Turn the artifact into a version-1 file.
+    // Turn the artifact into a file of the previous format version.
     let files = artifact_files(&dir);
     assert_eq!(files.len(), 1);
     let path = dir.join(&files[0]);
     let version = |bytes: &[u8]| u32::from_le_bytes(bytes[8..12].try_into().unwrap());
     let mut bytes = std::fs::read(&path).unwrap();
     assert_eq!(version(&bytes), lalr_store::FORMAT_VERSION);
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    bytes[8..12].copy_from_slice(&(lalr_store::FORMAT_VERSION - 1).to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
 
     let healer = Service::new(with_store(&dir));
@@ -274,6 +287,8 @@ fn a_store_from_the_previous_format_version_heals_by_recompiling() {
         (1, 1, 1),
         "{stats:?}"
     );
+    let table_healed = response_to_line(&healer.call(table.clone(), None));
+    assert_eq!(table_healed, table_reference);
     healer.shutdown();
     let bytes = std::fs::read(&path).unwrap();
     assert_eq!(version(&bytes), lalr_store::FORMAT_VERSION, "republished");
@@ -281,6 +296,47 @@ fn a_store_from_the_previous_format_version_heals_by_recompiling() {
     let reader = Service::new(with_store(&dir));
     let served = normalize(&response_to_line(&reader.call(compile, None)));
     assert_eq!(served, healed);
+    let table_served = response_to_line(&reader.call(table, None));
+    assert_eq!(table_served, table_reference);
+    let stats = reader.stats().cache.expect("cache enabled");
+    assert_eq!((stats.store_hits, stats.compiles), (1, 0), "{stats:?}");
+    reader.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A grammar whose table build makes hundreds of thousands of conflict
+/// decisions stores their count, not the decisions: the 2.3 KB random
+/// grammar below resolves 307,114 conflicts, and its record stays under
+/// 1 MiB. A record that kept one 32-byte entry per decision was 10.3 MB.
+#[test]
+fn a_conflict_heavy_artifact_stores_a_resolution_count_not_a_log() {
+    let dir = temp_store_dir("conflicts");
+    let config = lalr_corpus::synthetic::RandomConfig {
+        nonterminals: 10,
+        terminals: 300,
+        productions: 150,
+        max_rhs: 4,
+        epsilon_prob: 0.15,
+    };
+    let grammar = lalr_corpus::synthetic::random(9, config).to_string();
+    let table = Request::Table {
+        grammar,
+        format: GrammarFormat::Native,
+        compressed: false,
+    };
+    let writer = Service::new(with_store(&dir));
+    let reply = response_to_line(&writer.call(table.clone(), None));
+    let head: String = reply.chars().take(200).collect();
+    assert!(reply.contains("\"resolutions\":307114,"), "{head}");
+    writer.shutdown();
+
+    let files = artifact_files(&dir);
+    assert_eq!(files.len(), 1);
+    let record = std::fs::metadata(dir.join(&files[0])).unwrap().len();
+    assert!(record < 1 << 20, "the record takes {record} bytes");
+
+    let reader = Service::new(with_store(&dir));
+    assert_eq!(response_to_line(&reader.call(table, None)), reply);
     let stats = reader.stats().cache.expect("cache enabled");
     assert_eq!((stats.store_hits, stats.compiles), (1, 0), "{stats:?}");
     reader.shutdown();

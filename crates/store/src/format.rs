@@ -1,4 +1,4 @@
-//! The on-disk artifact format, version 2: a versioned header, a
+//! The on-disk artifact format, version 3: a versioned header, a
 //! section directory, and checksummed sections, little-endian
 //! throughout.
 //!
@@ -21,6 +21,11 @@
 //! decode scatters the rows into dense arrays prefilled with `Error` and
 //! no-goto.
 //!
+//! The RESOLUTIONS section holds one `u64`: the number of conflict
+//! resolutions the table build made. The decisions themselves are not
+//! stored; `lalr_tables::resolutions` recomputes them from the grammar,
+//! whose normalized text is the KEY section.
+//!
 //! The checksum (`file_checksum`) covers every byte of the file, with
 //! the checksum field read as zero, so a torn, truncated, or bit-flipped
 //! file is detected before any section is decoded. [`decode`] then
@@ -29,15 +34,13 @@
 
 use lalr_core::{GrammarClass, MethodAdequacy, RelationStats};
 use lalr_digraph::DigraphStats;
-use lalr_tables::{
-    Action, CompressedTable, ParseTable, ProductionInfo, Resolution, ResolutionReason,
-};
+use lalr_tables::{Action, CompressedTable, ParseTable, ProductionInfo};
 
 /// File magic: 8 bytes at offset 0.
 pub const MAGIC: [u8; 8] = *b"LALRSTOR";
 /// Current format version. Readers reject anything else, so a file from
 /// an older release reads as corrupt and is recompiled and republished.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 /// Fixed header size.
 pub const HEADER_LEN: usize = 64;
 
@@ -225,33 +228,6 @@ fn class_of(tag: u64) -> Option<GrammarClass> {
     })
 }
 
-fn reason_tag(r: ResolutionReason) -> u64 {
-    match r {
-        ResolutionReason::PrecedenceReduce => 0,
-        ResolutionReason::PrecedenceShift => 1,
-        ResolutionReason::AssocReduce => 2,
-        ResolutionReason::AssocShift => 3,
-        ResolutionReason::NonAssocError => 4,
-        ResolutionReason::DefaultShift => 5,
-        ResolutionReason::DefaultEarlierProduction => 6,
-        ResolutionReason::StrictError => 7,
-    }
-}
-
-fn reason_of(tag: u64) -> Option<ResolutionReason> {
-    Some(match tag {
-        0 => ResolutionReason::PrecedenceReduce,
-        1 => ResolutionReason::PrecedenceShift,
-        2 => ResolutionReason::AssocReduce,
-        3 => ResolutionReason::AssocShift,
-        4 => ResolutionReason::NonAssocError,
-        5 => ResolutionReason::DefaultShift,
-        6 => ResolutionReason::DefaultEarlierProduction,
-        7 => ResolutionReason::StrictError,
-        _ => return None,
-    })
-}
-
 /// Serializes a record into the on-disk byte format.
 pub fn encode(record: &ArtifactRecord) -> Vec<u8> {
     // Build each section body first.
@@ -345,14 +321,7 @@ pub fn encode(record: &ArtifactRecord) -> Vec<u8> {
     }
 
     let mut res = Writer::new();
-    res.u64(table.resolutions().len() as u64);
-    for x in table.resolutions() {
-        res.u32(x.state);
-        res.u32(x.terminal);
-        res.u64(encode_action(x.discarded));
-        res.u64(encode_action(x.kept));
-        res.u64(reason_tag(x.reason));
-    }
+    res.u64(table.resolution_count() as u64);
     sections.push((kind::RESOLUTIONS, res.buf));
 
     let mut comp = Writer::new();
@@ -487,7 +456,7 @@ impl<'a> Reader<'a> {
     /// Requires the section to be fully consumed.
     fn end(&self) -> Result<(), FormatError> {
         if self.pos != self.buf.len() {
-            return err("trailing bytes after the last row");
+            return err("trailing bytes at the end of a section");
         }
         Ok(())
     }
@@ -651,8 +620,9 @@ fn section<'a>(bytes: &'a [u8], info: &FileInfo, k: u32) -> Result<&'a [u8], For
 ///   Reduce production in range;
 /// * GOTOS entries: nonterminal in range and strictly increasing,
 ///   target in range;
-/// * compressed defaults, production left-hand sides, and each
-///   resolution's state, terminal and actions are in range too.
+/// * compressed defaults and production left-hand sides are in range
+///   too, and the resolution count fits a `usize` and is all of its
+///   section.
 pub fn decode(bytes: &[u8]) -> Result<ArtifactRecord, FormatError> {
     let info = inspect(bytes)?;
     let sec = |k| section(bytes, &info, k);
@@ -741,26 +711,9 @@ pub fn decode(bytes: &[u8]) -> Result<ArtifactRecord, FormatError> {
     let nonterminal_names = names(kind::NONTERMINAL_NAMES, nonterminals)?;
 
     let mut r = Reader::new(sec(kind::RESOLUTIONS)?);
-    let n = r.count(32)?;
-    let mut resolutions = Vec::with_capacity(n);
-    for _ in 0..n {
-        let state = r.u32()?;
-        let terminal = r.u32()?;
-        if state >= states || terminal >= terminals {
-            return err("resolution cell out of range");
-        }
-        let discarded = dims.action(r.u64()?)?;
-        let kept = dims.action(r.u64()?)?;
-        let reason =
-            reason_of(r.u64()?).ok_or_else(|| FormatError("invalid resolution reason".into()))?;
-        resolutions.push(Resolution {
-            state,
-            terminal,
-            discarded,
-            kept,
-            reason,
-        });
-    }
+    let resolution_count =
+        usize::try_from(r.u64()?).map_err(|_| FormatError("resolution count overflows".into()))?;
+    r.end()?;
 
     // `states` must be backed by the row sections before the dense
     // arrays are allocated.
@@ -831,7 +784,7 @@ pub fn decode(bytes: &[u8]) -> Result<ArtifactRecord, FormatError> {
         prod_infos,
         terminal_names,
         nonterminal_names,
-        resolutions,
+        resolution_count,
     );
     let compressed = CompressedTable::from_raw_parts(comp_rows, defaults, terminals);
 
@@ -944,10 +897,6 @@ pub(crate) mod tests {
             .iter()
             .all(|p| p.lhs < t.nonterminal_count()));
         assert_eq!(t.terminal_names().len(), terminals as usize);
-        for r in t.resolutions() {
-            assert!(r.state < states && r.terminal < terminals);
-            assert!(in_range(r.kept) && in_range(r.discarded));
-        }
         let c = &rec.compressed;
         assert_eq!(c.state_count(), states as usize);
         assert_eq!(c.terminal_count(), terminals);
@@ -1092,7 +1041,7 @@ pub(crate) mod tests {
             .iter()
             .map(|src| sample_record(src, src, 11))
             .collect();
-        assert!(!records[1].table.resolutions().is_empty());
+        assert!(records[1].table.resolution_count() > 0);
         assert!(records[2].terminals > 128);
         let encoded: Vec<Vec<u8>> = records.iter().map(encode).collect();
 

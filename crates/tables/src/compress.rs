@@ -41,16 +41,26 @@ pub struct CompressedTable {
 }
 
 impl CompressedTable {
-    /// Compresses a dense table.
+    /// Compresses a dense table, each row in one scan: the scan keeps the
+    /// row's non-error entries and counts its reduces, and the default is
+    /// then filtered out of the kept entries.
     pub fn from_dense(table: &ParseTable) -> CompressedTable {
         let terminals = table.terminal_count();
         let mut rows = Vec::with_capacity(table.state_count() as usize);
         let mut defaults = Vec::with_capacity(table.state_count() as usize);
-        for state in 0..table.state_count() {
-            // Most frequent reduce action becomes the default.
-            let mut counts: Vec<(Action, usize)> = Vec::new();
-            for t in 0..terminals {
-                let a = table.action(state, t);
+        let mut entries: Vec<(u32, Action)> = Vec::new();
+        // Each distinct reduce with its count, in first-seen order.
+        let mut counts: Vec<(Action, usize)> = Vec::new();
+        let width = terminals as usize;
+        for state in 0..table.state_count() as usize {
+            let row = &table.actions_raw()[state * width..(state + 1) * width];
+            entries.clear();
+            counts.clear();
+            for (t, &a) in (0u32..).zip(row) {
+                if a.is_error() {
+                    continue;
+                }
+                entries.push((t, a));
                 if a.is_reduce() {
                     match counts.iter_mut().find(|(x, _)| *x == a) {
                         Some((_, c)) => *c += 1,
@@ -58,18 +68,16 @@ impl CompressedTable {
                     }
                 }
             }
-            let default = counts
-                .into_iter()
+            // The most frequent reduce becomes the default; of tied
+            // reduces, `max_by_key` keeps the last one seen first.
+            let (default, defaulted) = counts
+                .iter()
+                .copied()
                 .max_by_key(|&(_, c)| c)
-                .map(|(a, _)| a)
-                .unwrap_or(Action::Error);
-            let row: Vec<(u32, Action)> = (0..terminals)
-                .filter_map(|t| {
-                    let a = table.action(state, t);
-                    (a != default && a != Action::Error).then_some((t, a))
-                })
-                .collect();
-            rows.push(row);
+                .unwrap_or((Action::Error, 0));
+            let mut kept = Vec::with_capacity(entries.len() - defaulted);
+            kept.extend(entries.iter().copied().filter(|&(_, a)| a != default));
+            rows.push(kept);
             defaults.push(default);
         }
         CompressedTable {

@@ -5,7 +5,8 @@
 //!
 //! * [`build_table`] — table construction with precedence/associativity
 //!   conflict resolution and yacc-style defaults (shift over reduce,
-//!   earlier production over later), every decision logged.
+//!   earlier production over later), every decision counted;
+//!   [`resolutions`] lists the decisions, recomputed on demand.
 //! * [`ParseTable`] — the dense table: `ACTION[state][terminal]`,
 //!   `GOTO[state][nonterminal]`, plus the production metadata the runtime
 //!   needs (so parsing needs no `Grammar` object).
@@ -24,7 +25,7 @@
 //! let lr0 = Lr0Automaton::build(&g);
 //! let la = LalrAnalysis::compute(&g, &lr0).into_lookaheads();
 //! let table = build_table(&g, &lr0, &la, TableOptions::default());
-//! assert!(table.resolutions().is_empty(), "grammar is conflict-free");
+//! assert_eq!(table.resolution_count(), 0, "grammar is conflict-free");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -38,6 +39,6 @@ mod display;
 mod table;
 
 pub use action::Action;
-pub use build::{build_table, Resolution, ResolutionReason, TableOptions};
+pub use build::{build_table, resolutions, Resolution, ResolutionReason, TableOptions};
 pub use compress::CompressedTable;
 pub use table::{ParseTable, ProductionInfo, TableStats};

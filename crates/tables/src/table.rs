@@ -44,7 +44,7 @@ pub struct ParseTable {
     pub(crate) productions: Vec<ProductionInfo>,
     pub(crate) terminal_names: Vec<String>,
     pub(crate) nonterminal_names: Vec<String>,
-    pub(crate) resolutions: Vec<crate::build::Resolution>,
+    pub(crate) resolution_count: usize,
 }
 
 pub(crate) const NO_GOTO: u32 = u32::MAX;
@@ -168,8 +168,9 @@ impl ParseTable {
     }
 
     /// Reassembles a table from its raw parts — the inverse of the
-    /// `*_raw`/name/production accessors, used by the on-disk artifact
-    /// store. Dimensions are validated.
+    /// `*_raw`/name/production/[`ParseTable::resolution_count`]
+    /// accessors, used by the on-disk artifact store. Dimensions are
+    /// validated.
     ///
     /// # Panics
     ///
@@ -184,7 +185,7 @@ impl ParseTable {
         productions: Vec<ProductionInfo>,
         terminal_names: Vec<String>,
         nonterminal_names: Vec<String>,
-        resolutions: Vec<crate::build::Resolution>,
+        resolution_count: usize,
     ) -> ParseTable {
         assert_eq!(actions.len(), (states * terminals) as usize);
         assert_eq!(gotos.len(), (states * nonterminals) as usize);
@@ -199,7 +200,7 @@ impl ParseTable {
             productions,
             terminal_names,
             nonterminal_names,
-            resolutions,
+            resolution_count,
         }
     }
 

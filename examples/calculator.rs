@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "resolutions applied by precedence/assoc: {}",
-        table.resolutions().len()
+        table.resolution_count()
     );
 
     let lexer = Lexer::for_table(&table).number("NUM").build();

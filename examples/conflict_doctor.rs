@@ -37,7 +37,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         TableOptions::default(),
     );
     println!("\n== resolutions applied (yacc defaults) ==");
-    for r in table.resolutions() {
+    let log = lalr::tables::resolutions(
+        &grammar,
+        &lr0,
+        analysis.lookaheads(),
+        TableOptions::default(),
+    );
+    for r in &log {
         println!(
             "  state {} on {:?}: kept {} over {} ({:?})",
             r.state,
