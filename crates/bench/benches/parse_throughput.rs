@@ -1,11 +1,13 @@
 //! Runtime sanity benchmark: tokens/second through the LR driver, dense
 //! vs compressed tables, and through `to_sexpr` on the trees it builds —
-//! including one document whose tree is as deep as it is long.
+//! including one document whose tree is as deep as it is long — plus the
+//! service lane's per-document work on c_subset sentences: words through
+//! a name map, the parse, and the rendering.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lalr_automata::Lr0Automaton;
 use lalr_core::LalrAnalysis;
-use lalr_runtime::{CompressedSource, Lexer, Parser, Token};
+use lalr_runtime::{terminal_index, CompressedSource, Lexer, Parser, Token};
 use lalr_tables::{build_table, CompressedTable, ParseTable, TableOptions};
 
 /// Tokens of the deep document: one tree level per token.
@@ -17,16 +19,14 @@ fn table_for(g: &lalr_grammar::Grammar) -> ParseTable {
     build_table(g, &lr0, &la, TableOptions::default())
 }
 
-fn expr_tokens(n_terms: usize) -> (ParseTable, Vec<Token>) {
-    let table = table_for(&lalr_corpus::by_name("expr").expect("exists").grammar());
-    let lexer = Lexer::for_table(&table).number("NUM").build();
+/// An expression of `n_terms` parenthesised terms.
+fn expr_source(n_terms: usize) -> String {
     let mut src = String::from("1");
     for i in 0..n_terms {
         let op = if i % 3 == 0 { "*" } else { "+" };
         src.push_str(&format!(" {op} ({i} + 2)"));
     }
-    let tokens = lexer.tokenize(&src).expect("valid expression");
-    (table, tokens)
+    src
 }
 
 fn bench_parse(c: &mut Criterion) {
@@ -34,9 +34,12 @@ fn bench_parse(c: &mut Criterion) {
     group.sample_size(30);
     group.measurement_time(std::time::Duration::from_secs(3));
     group.warm_up_time(std::time::Duration::from_millis(500));
+    let table = table_for(&lalr_corpus::by_name("expr").expect("exists").grammar());
+    let lexer = Lexer::for_table(&table).number("NUM").build();
+    let compressed = CompressedTable::from_dense(&table);
     for n in [100usize, 1000] {
-        let (table, tokens) = expr_tokens(n);
-        let compressed = CompressedTable::from_dense(&table);
+        let src = expr_source(n);
+        let tokens = lexer.tokenize(&src).expect("valid expression");
         group.throughput(Throughput::Elements(tokens.len() as u64));
         group.bench_with_input(BenchmarkId::new("dense", n), &tokens, |b, toks| {
             let parser = Parser::new(&table);
@@ -52,6 +55,43 @@ fn bench_parse(c: &mut Criterion) {
             b.iter(|| tree.to_sexpr(&table))
         });
     }
+
+    // The parse lane's per-document work, as the service runs it: each
+    // word through a name map built once, then the parse, the counts and
+    // `to_sexpr`.
+    let grammar = lalr_corpus::by_name("c_subset").expect("exists").grammar();
+    let table = table_for(&grammar);
+    let docs: Vec<String> = lalr_corpus::sentences::generate_many(&grammar, 0xC5B, 32, 200)
+        .iter()
+        .map(|s| {
+            let words: Vec<&str> = s.iter().map(|&t| grammar.terminal_name(t)).collect();
+            words.join(" ")
+        })
+        .collect();
+    let words: usize = docs.iter().map(|d| d.split_whitespace().count()).sum();
+    group.throughput(Throughput::Elements(words as u64));
+    group.bench_with_input(
+        BenchmarkId::new("c_subset_lane", docs.len()),
+        &docs,
+        |b, docs| {
+            let names = terminal_index(&table);
+            let parser = Parser::new(&table);
+            b.iter(|| {
+                let mut bytes = 0usize;
+                for doc in docs {
+                    let tokens: Vec<Token> = doc
+                        .split_whitespace()
+                        .enumerate()
+                        .map(|(i, w)| Token::new(names[w], w, i))
+                        .collect();
+                    let tree = parser.parse(tokens).expect("generated sentences parse");
+                    bytes += tree.to_sexpr(&table).len() + tree.leaf_count() + tree.node_count();
+                }
+                bytes
+            })
+        },
+    );
+
     // A right-recursive list nests one level per token.
     let grammar = lalr_grammar::parse_grammar("s : \"a\" s | ;").expect("valid grammar");
     let table = table_for(&grammar);

@@ -9,7 +9,8 @@ use lalr_bench::alloc_counter::measure;
 #[test]
 fn measure_counts_allocations_and_nothing_else() {
     let (len, stats) = measure(|| {
-        let v: Vec<u64> = Vec::with_capacity(1000);
+        // `black_box`: unobserved, the optimizer deletes the allocation.
+        let v: Vec<u64> = std::hint::black_box(Vec::with_capacity(1000));
         v.capacity()
     });
     assert_eq!(len, 1000);

@@ -434,6 +434,7 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
         TableOptions::default(),
     );
     let parser = Parser::new(&table);
+    let names = lalr_runtime::terminal_index(&table);
 
     let mut out = String::new();
     let mut failures = 0usize;
@@ -457,8 +458,8 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
         let mut tokens = Vec::new();
         let mut lex_ok = true;
         for (i, word) in rest.split_whitespace().enumerate() {
-            match table.terminal_by_name(word) {
-                Some(t) => tokens.push(lalr_runtime::Token::new(t, word, i)),
+            match names.get(word) {
+                Some(&t) => tokens.push(lalr_runtime::Token::new(t, word, i)),
                 None => {
                     lex_ok = false;
                     break;

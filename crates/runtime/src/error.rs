@@ -31,12 +31,14 @@ impl Error for LexError {}
 pub struct ParseError {
     /// The automaton state the error occurred in.
     pub state: u32,
-    /// The offending token, or `None` at end of input.
-    pub found: Option<Token>,
+    /// The offending token, or `None` at end of input. Its text is
+    /// copied out of the input, so the error outlives the document.
+    pub found: Option<Token<'static>>,
     /// Names of the terminals with a non-error action in `state`.
     pub expected: Vec<String>,
     /// Where the error points: the offending token's offset, or — at end
-    /// of input — one past the end of the last consumed token.
+    /// of input — the last consumed token's offset plus its text's byte
+    /// length (one past its end in a lexed input).
     pub offset: usize,
 }
 

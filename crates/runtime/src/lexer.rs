@@ -7,6 +7,22 @@ use lalr_tables::ParseTable;
 use crate::error::LexError;
 use crate::token::Token;
 
+/// Maps each terminal name of `table` to its index, for documents written
+/// as whitespace-separated terminal names. The end marker `$` (index 0)
+/// is left out, as in [`Lexer::for_table`]: a document cannot end itself
+/// early. A name declared twice maps to its first index, as in
+/// [`ParseTable::terminal_by_name`].
+///
+/// The names come from grammar text, so the map keeps the default
+/// (collision-resistant) hasher.
+pub fn terminal_index(table: &ParseTable) -> HashMap<&str, u32> {
+    let mut index = HashMap::with_capacity(table.terminal_count() as usize);
+    for t in 1..table.terminal_count() {
+        index.entry(table.terminal_name(t)).or_insert(t);
+    }
+    index
+}
+
 /// Builder for [`Lexer`]; see [`Lexer::for_table`].
 #[derive(Debug, Clone)]
 pub struct LexerBuilder {
@@ -128,12 +144,13 @@ impl Lexer {
         }
     }
 
-    /// Tokenizes `input`, skipping ASCII whitespace.
+    /// Tokenizes `input`, skipping ASCII whitespace. Every token's text
+    /// is borrowed from `input`.
     ///
     /// # Errors
     ///
     /// Returns [`LexError`] at the first character no rule matches.
-    pub fn tokenize(&self, input: &str) -> Result<Vec<Token>, LexError> {
+    pub fn tokenize<'a>(&self, input: &'a str) -> Result<Vec<Token<'a>>, LexError> {
         let bytes = input.as_bytes();
         let mut out = Vec::new();
         let mut pos = 0usize;
@@ -205,8 +222,9 @@ impl Lexer {
             // Punctuation literals, longest first.
             for (lit, t) in &self.literals {
                 if input[pos..].starts_with(lit.as_str()) {
-                    out.push(Token::new(*t, lit.as_str(), pos));
-                    pos += lit.len();
+                    let end = pos + lit.len();
+                    out.push(Token::new(*t, &input[pos..end], pos));
+                    pos = end;
                     continue 'outer;
                 }
             }
@@ -243,6 +261,28 @@ mod tests {
         let toks = lx.tokenize(":=").unwrap();
         assert_eq!(toks.len(), 1);
         assert_eq!(toks[0].text(), ":=");
+    }
+
+    #[test]
+    fn token_text_is_borrowed_from_the_input() {
+        let t = table("s : WHILE ID \":=\" NUM ;");
+        let lx = Lexer::for_table(&t).identifier("ID").number("NUM").build();
+        let input = "WHILE x := 42";
+        for tok in lx.tokenize(input).unwrap() {
+            let text = tok.text();
+            assert_eq!(text.as_ptr(), input[tok.offset()..].as_ptr(), "{tok}");
+        }
+    }
+
+    #[test]
+    fn terminal_index_skips_the_end_marker() {
+        let t = table("s : NUM \"+\" NUM ;");
+        let index = terminal_index(&t);
+        assert_eq!(t.terminal_name(0), "$");
+        assert_eq!(index.get("$"), None);
+        assert_eq!(index.get("NUM").copied(), t.terminal_by_name("NUM"));
+        assert_eq!(index.get("+").copied(), t.terminal_by_name("+"));
+        assert_eq!(index.len() as u32, t.terminal_count() - 1);
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //! token stream.
 //!
 //! * [`Token`] / [`Lexer`] — a small configurable lexer that derives its
-//!   literal and keyword tables from the parse table's terminal names.
+//!   literal and keyword tables from the parse table's terminal names;
+//!   tokens borrow their text from the input. [`terminal_index`] maps
+//!   terminal names to indices for documents written as names.
 //! * [`Parser`] — the classic shift-reduce driver, generic over
 //!   [`ActionSource`] so it runs identically on dense and compressed
-//!   tables; builds a [`ParseTree`].
+//!   tables; builds a [`ParseTree`], a flat postorder forest walked
+//!   through [`Subtree`] views.
 //! * [`ParseError`] — positioned errors listing the expected terminals.
 //! * Panic-mode error recovery via [`Parser::parse_with_recovery`].
 //!
@@ -40,7 +43,7 @@ mod token;
 mod tree;
 
 pub use error::{LexError, ParseError};
-pub use lexer::{Lexer, LexerBuilder};
+pub use lexer::{terminal_index, Lexer, LexerBuilder};
 pub use parser::{ActionSource, CompressedSource, Parser};
 pub use token::Token;
-pub use tree::ParseTree;
+pub use tree::{NodeView, ParseTree, Subtree};

@@ -1,5 +1,7 @@
 //! The shift-reduce driver.
 
+use std::iter::Peekable;
+
 use lalr_tables::{Action, CompressedTable, ParseTable, ProductionInfo};
 
 use crate::error::ParseError;
@@ -76,12 +78,136 @@ impl ActionSource for CompressedSource<'_> {
 
 /// The LR driver.
 ///
+/// [`parse`](Self::parse), [`parse_with_recovery`](Self::parse_with_recovery)
+/// and [`parse_with_error_token`](Self::parse_with_error_token) run one
+/// shift/reduce step onto one [`ParseTree`] forest; they differ only in
+/// what they do when that step meets an error.
+///
 /// # Examples
 ///
 /// See the [crate documentation](crate).
 #[derive(Debug, Clone)]
 pub struct Parser<'t, S: ActionSource = ParseTable> {
     table: &'t S,
+}
+
+/// What one shift/reduce step did.
+enum Step {
+    Shifted,
+    Reduced,
+    Accepted,
+    /// A syntax error in this state on the look-ahead, which recovery
+    /// may repair. Accept with input left is one too: a token whose
+    /// terminal is the end marker `$` does not end the document early.
+    Blocked(u32),
+    /// The parse cannot go on from this state: a reduction with no goto
+    /// (a compressed table's default reduction on an erroneous
+    /// look-ahead), or more leaves or nodes than a tree's `u32` ids name.
+    Failed(u32),
+}
+
+/// One parse in progress: the state stack, the value stack of child ids
+/// (one per state above the bottom one), the forest built so far and the
+/// unread input.
+struct Run<'p, 'a, S, I: Iterator<Item = Token<'a>>> {
+    table: &'p S,
+    states: Vec<u32>,
+    values: Vec<u32>,
+    tree: ParseTree<'a>,
+    input: Peekable<I>,
+    /// Where an end-of-input error points: the last consumed token's
+    /// offset plus its text's length.
+    end: usize,
+}
+
+impl<'p, 'a, S: ActionSource, I: Iterator<Item = Token<'a>>> Run<'p, 'a, S, I> {
+    fn new(table: &'p S, input: I) -> Self {
+        let mut states = Vec::with_capacity(64);
+        states.push(0);
+        Run {
+            table,
+            states,
+            values: Vec::with_capacity(64),
+            tree: ParseTree::with_capacity(input.size_hint().0),
+            input: input.peekable(),
+            end: 0,
+        }
+    }
+
+    /// The shift/reduce step every driver runs.
+    fn step(&mut self) -> Step {
+        let state = *self.states.last().expect("stack never empties");
+        let terminal = self.input.peek().map_or(0, Token::terminal); // $ is terminal 0
+        match self.table.action(state, terminal) {
+            Action::Shift(next) => {
+                let Some(id) = self.tree.next_leaf_id() else {
+                    return Step::Failed(state);
+                };
+                let tok = self.input.next().expect("shift only on real tokens");
+                self.end = tok.offset() + tok.text().len();
+                self.tree.push_leaf(tok);
+                self.values.push(id);
+                self.states.push(next);
+                Step::Shifted
+            }
+            Action::Reduce(prod) => {
+                let info = self.table.production(prod);
+                let base = self
+                    .values
+                    .len()
+                    .checked_sub(info.rhs_len as usize)
+                    .expect("a reduction pops only what was pushed");
+                self.states.truncate(base + 1);
+                let top = *self.states.last().expect("stack never empties");
+                let Some(next) = self.table.goto(top, info.lhs) else {
+                    return Step::Failed(top);
+                };
+                let Some(id) = self.tree.push_node(info.lhs, prod, &self.values[base..]) else {
+                    return Step::Failed(top);
+                };
+                self.values.truncate(base);
+                self.values.push(id);
+                self.states.push(next);
+                Step::Reduced
+            }
+            Action::Accept if self.input.peek().is_none() => Step::Accepted,
+            Action::Accept | Action::Error => Step::Blocked(state),
+        }
+    }
+
+    /// The diagnostic for an error in `state` on the current look-ahead.
+    fn error(&mut self, state: u32) -> ParseError {
+        let found = self.input.peek().map(|t| t.clone().into_owned());
+        let offset = found.as_ref().map_or(self.end, Token::offset);
+        ParseError {
+            state,
+            found,
+            expected: self.table.expected(state),
+            offset,
+        }
+    }
+
+    /// Discards the look-ahead; `false` at end of input.
+    fn skip(&mut self) -> bool {
+        let Some(tok) = self.input.next() else {
+            return false;
+        };
+        self.end = tok.offset() + tok.text().len();
+        true
+    }
+
+    /// Pops one state and the subtree above it.
+    fn pop(&mut self) {
+        self.states.pop();
+        self.values.pop();
+    }
+
+    /// The tree, rooted at the top of the value stack.
+    fn finish(mut self) -> ParseTree<'a> {
+        let root = self.values.pop().expect("accept implies a full tree");
+        self.tree.set_root(root);
+        self.tree
+    }
 }
 
 impl<'t, S: ActionSource> Parser<'t, S> {
@@ -95,63 +221,21 @@ impl<'t, S: ActionSource> Parser<'t, S> {
     /// # Errors
     ///
     /// Returns the first [`ParseError`]; the input is not consumed past it.
-    pub fn parse<I>(&self, tokens: I) -> Result<ParseTree, ParseError>
+    /// A token whose terminal is the end marker `$` (index 0) is an error
+    /// unless it is the last token. A document that needs `2^31` or more
+    /// leaves or reductions is refused at the first one that does not fit
+    /// a tree's `u32` ids.
+    pub fn parse<'a, I>(&self, tokens: I) -> Result<ParseTree<'a>, ParseError>
     where
-        I: IntoIterator<Item = Token>,
+        I: IntoIterator<Item = Token<'a>>,
     {
-        let mut states: Vec<u32> = vec![0];
-        let mut forest: Vec<ParseTree> = Vec::new();
-        let mut input = tokens.into_iter().peekable();
-        let mut end = 0usize; // one past the last consumed token
-
+        let mut run = Run::new(self.table, tokens.into_iter());
         loop {
-            let state = *states.last().expect("stack never empties");
-            let terminal = input.peek().map_or(0, Token::terminal); // $ is terminal 0
-            match self.table.action(state, terminal) {
-                Action::Shift(next) => {
-                    let tok = input.next().expect("shift only on real tokens");
-                    end = tok.offset() + tok.text().len();
-                    forest.push(ParseTree::Leaf(tok));
-                    states.push(next);
-                }
-                Action::Reduce(prod) => {
-                    let info = self.table.production(prod);
-                    let n = info.rhs_len as usize;
-                    let children = forest.split_off(forest.len() - n);
-                    for _ in 0..n {
-                        states.pop();
-                    }
-                    let top = *states.last().expect("stack never empties");
-                    let Some(next) = self.table.goto(top, info.lhs) else {
-                        // Reachable only via a compressed table's default
-                        // reduce on an erroneous look-ahead.
-                        return Err(self.error(top, input.peek().cloned(), end));
-                    };
-                    forest.push(ParseTree::Node {
-                        nonterminal: info.lhs,
-                        production: prod,
-                        children,
-                    });
-                    states.push(next);
-                }
-                Action::Accept => {
-                    let tree = forest.pop().expect("accept implies a full tree");
-                    return Ok(tree);
-                }
-                Action::Error => {
-                    return Err(self.error(state, input.peek().cloned(), end));
-                }
+            match run.step() {
+                Step::Shifted | Step::Reduced => {}
+                Step::Accepted => return Ok(run.finish()),
+                Step::Blocked(state) | Step::Failed(state) => return Err(run.error(state)),
             }
-        }
-    }
-
-    fn error(&self, state: u32, found: Option<Token>, end: usize) -> ParseError {
-        let offset = found.as_ref().map_or(end, Token::offset);
-        ParseError {
-            state,
-            found,
-            expected: self.table.expected(state),
-            offset,
         }
     }
 
@@ -171,203 +255,134 @@ impl<'t, S: ActionSource> Parser<'t, S> {
     ///
     /// Returns the tree (with `error` leaves where recovery happened) plus
     /// the diagnostics; `None` when recovery failed outright.
-    pub fn parse_with_error_token<I>(
+    pub fn parse_with_error_token<'a, I>(
         &self,
         tokens: I,
         error_terminal: u32,
         max_errors: usize,
-    ) -> (Option<ParseTree>, Vec<ParseError>)
+    ) -> (Option<ParseTree<'a>>, Vec<ParseError>)
     where
-        I: IntoIterator<Item = Token>,
+        I: IntoIterator<Item = Token<'a>>,
     {
         let mut errors = Vec::new();
-        let mut states: Vec<u32> = vec![0];
-        let mut forest: Vec<ParseTree> = Vec::new();
-        let mut input = tokens.into_iter().peekable();
+        let mut run = Run::new(self.table, tokens.into_iter());
         let mut clean_shifts = 3usize; // suppression counter
-        let mut end = 0usize;
-
         loop {
-            let state = *states.last().expect("stack never empties");
-            let terminal = input.peek().map_or(0, Token::terminal);
-            match self.table.action(state, terminal) {
-                Action::Shift(next) => {
-                    let tok = input.next().expect("shift only on real tokens");
-                    end = tok.offset() + tok.text().len();
-                    forest.push(ParseTree::Leaf(tok));
-                    states.push(next);
+            let state = match run.step() {
+                Step::Shifted => {
                     clean_shifts += 1;
+                    continue;
                 }
-                Action::Reduce(prod) => {
-                    let info = self.table.production(prod);
-                    let n = info.rhs_len as usize;
-                    let children = forest.split_off(forest.len() - n);
-                    states.truncate(states.len() - n);
-                    let top = *states.last().expect("stack never empties");
-                    match self.table.goto(top, info.lhs) {
-                        Some(next) => {
-                            forest.push(ParseTree::Node {
-                                nonterminal: info.lhs,
-                                production: prod,
-                                children,
-                            });
-                            states.push(next);
-                        }
-                        None => {
-                            errors.push(self.error(top, input.peek().cloned(), end));
-                            return (None, errors);
-                        }
-                    }
+                Step::Reduced => continue,
+                Step::Accepted => return (Some(run.finish()), errors),
+                Step::Failed(state) => {
+                    errors.push(run.error(state));
+                    return (None, errors);
                 }
-                Action::Accept => {
-                    let tree = forest.pop().expect("accept implies a full tree");
-                    return (Some(tree), errors);
+                Step::Blocked(state) => state,
+            };
+            if clean_shifts == 0 {
+                // Nothing shifted since the last recovery: popping to
+                // `error` again would re-shift it in place forever. Drop
+                // the look-ahead instead (byacc's rule), or give up at
+                // end of input.
+                if !run.skip() {
+                    return (None, errors);
                 }
-                Action::Error => {
-                    if clean_shifts == 0 {
-                        // Nothing shifted since the last recovery: popping
-                        // to `error` again would re-shift it in place
-                        // forever. Drop the look-ahead instead (byacc's
-                        // rule), or give up at end of input.
-                        let Some(skipped) = input.next() else {
-                            return (None, errors);
-                        };
-                        end = skipped.offset() + skipped.text().len();
-                        continue;
-                    }
-                    if clean_shifts >= 3 {
-                        errors.push(self.error(state, input.peek().cloned(), end));
-                    }
-                    if errors.len() >= max_errors {
-                        return (None, errors);
-                    }
-                    clean_shifts = 0;
-                    // 1. Pop until `error` shifts.
-                    loop {
-                        let Some(&s) = states.last() else {
-                            return (None, errors);
-                        };
-                        if let Action::Shift(next) = self.table.action(s, error_terminal) {
-                            // 2. Shift the synthetic error token.
-                            let offset = input.peek().map(Token::offset).unwrap_or(usize::MAX);
-                            forest.push(ParseTree::Leaf(Token::new(
-                                error_terminal,
-                                "<error>",
-                                offset,
-                            )));
-                            states.push(next);
-                            break;
-                        }
-                        states.pop();
-                        forest.pop();
-                    }
-                    // 3. Discard input until a token is actionable here.
-                    let s = *states.last().expect("just pushed");
-                    loop {
-                        match input.peek() {
-                            None => break, // let $ drive reductions/accept
-                            Some(t) if !self.table.action(s, t.terminal()).is_error() => {
-                                break;
-                            }
-                            Some(_) => {
-                                let skipped = input.next().expect("peeked");
-                                end = skipped.offset() + skipped.text().len();
-                            }
-                        }
-                    }
+                continue;
+            }
+            if clean_shifts >= 3 {
+                errors.push(run.error(state));
+            }
+            if errors.len() >= max_errors {
+                return (None, errors);
+            }
+            clean_shifts = 0;
+            // 1. Pop until `error` shifts.
+            let resume = loop {
+                let Some(&s) = run.states.last() else {
+                    return (None, errors);
+                };
+                if let Action::Shift(next) = self.table.action(s, error_terminal) {
+                    break next;
                 }
+                run.pop();
+            };
+            // 2. Shift the synthetic error token.
+            let Some(id) = run.tree.next_leaf_id() else {
+                errors.push(run.error(resume));
+                return (None, errors);
+            };
+            let offset = run.input.peek().map_or(usize::MAX, Token::offset);
+            run.tree
+                .push_leaf(Token::new(error_terminal, "<error>", offset));
+            run.values.push(id);
+            run.states.push(resume);
+            // 3. Discard input until a token is actionable here; at end
+            // of input, `$` drives the reductions or accept.
+            while run
+                .input
+                .peek()
+                .is_some_and(|t| self.table.action(resume, t.terminal()).is_error())
+            {
+                run.skip();
             }
         }
     }
 
     /// Parses with panic-mode recovery: on error, states are popped until
-    /// one can shift a `sync` terminal, input is skipped up to and
-    /// including the next sync token, and parsing resumes. Collects up to
-    /// `max_errors` diagnostics.
+    /// one can shift a `sync` terminal, input is skipped up to the next
+    /// sync token, and parsing resumes. Collects up to `max_errors`
+    /// diagnostics.
     ///
     /// Returns the diagnostics; the tree is only returned when the input
     /// parsed without errors.
-    pub fn parse_with_recovery<I>(
+    pub fn parse_with_recovery<'a, I>(
         &self,
         tokens: I,
         sync: &[u32],
         max_errors: usize,
-    ) -> (Option<ParseTree>, Vec<ParseError>)
+    ) -> (Option<ParseTree<'a>>, Vec<ParseError>)
     where
-        I: IntoIterator<Item = Token>,
+        I: IntoIterator<Item = Token<'a>>,
     {
         let mut errors = Vec::new();
-        let mut states: Vec<u32> = vec![0];
-        let mut forest: Vec<ParseTree> = Vec::new();
-        let mut input = tokens.into_iter().peekable();
-        let mut end = 0usize;
-
+        let mut run = Run::new(self.table, tokens.into_iter());
         loop {
-            let state = *states.last().expect("stack never empties");
-            let terminal = input.peek().map_or(0, Token::terminal);
-            match self.table.action(state, terminal) {
-                Action::Shift(next) => {
-                    let tok = input.next().expect("shift only on real tokens");
-                    end = tok.offset() + tok.text().len();
-                    forest.push(ParseTree::Leaf(tok));
-                    states.push(next);
-                }
-                Action::Reduce(prod) => {
-                    let info = self.table.production(prod);
-                    let n = info.rhs_len as usize;
-                    let children = forest.split_off(forest.len() - n);
-                    states.truncate(states.len() - n);
-                    let top = *states.last().expect("stack never empties");
-                    match self.table.goto(top, info.lhs) {
-                        Some(next) => {
-                            forest.push(ParseTree::Node {
-                                nonterminal: info.lhs,
-                                production: prod,
-                                children,
-                            });
-                            states.push(next);
-                        }
-                        None => {
-                            errors.push(self.error(top, input.peek().cloned(), end));
-                            return (None, errors);
-                        }
-                    }
-                }
-                Action::Accept => {
-                    let tree = forest.pop().expect("accept implies a full tree");
+            let state = match run.step() {
+                Step::Shifted | Step::Reduced => continue,
+                Step::Accepted => {
                     let ok = errors.is_empty();
-                    return (ok.then_some(tree), errors);
+                    return (ok.then(|| run.finish()), errors);
                 }
-                Action::Error => {
-                    errors.push(self.error(state, input.peek().cloned(), end));
-                    if errors.len() >= max_errors {
-                        return (None, errors);
-                    }
-                    // Panic mode: pop states until one shifts a sync token…
-                    let mut recovered = false;
-                    'recover: while !states.is_empty() {
-                        let s = *states.last().expect("checked non-empty");
-                        for &sync_t in sync {
-                            if self.table.action(s, sync_t).is_shift() {
-                                // …then skip input up to a sync token.
-                                while let Some(t) = input.peek() {
-                                    if sync.contains(&t.terminal()) {
-                                        recovered = true;
-                                        break 'recover;
-                                    }
-                                    let skipped = input.next().expect("peeked");
-                                    end = skipped.offset() + skipped.text().len();
-                                }
-                                break 'recover;
-                            }
+                Step::Failed(state) => {
+                    errors.push(run.error(state));
+                    return (None, errors);
+                }
+                Step::Blocked(state) => state,
+            };
+            errors.push(run.error(state));
+            if errors.len() >= max_errors {
+                return (None, errors);
+            }
+            // Panic mode: pop states until one shifts a sync token, then
+            // skip input up to a sync token.
+            let mut recovered = false;
+            while let Some(&s) = run.states.last() {
+                if sync.iter().any(|&t| self.table.action(s, t).is_shift()) {
+                    while let Some(t) = run.input.peek() {
+                        if sync.contains(&t.terminal()) {
+                            recovered = true;
+                            break;
                         }
-                        states.pop();
-                        forest.pop();
+                        run.skip();
                     }
-                    if !recovered || states.is_empty() {
-                        return (None, errors);
-                    }
+                    break;
                 }
+                run.pop();
+            }
+            if !recovered {
+                return (None, errors);
             }
         }
     }
@@ -437,6 +452,27 @@ mod tests {
         assert!(err.found.is_none());
         // The error still has a position: one past the "+" token.
         assert_eq!(err.offset, 3);
+    }
+
+    #[test]
+    fn an_end_marker_token_does_not_end_the_input_early() {
+        // Terminal 0 is `$`; a hand-built `$` token followed by more input
+        // is an error at that token, not an accept that drops the rest.
+        let t = table(EXPR);
+        let num = t.terminal_by_name("NUM").unwrap();
+        let toks = vec![
+            Token::new(num, "NUM", 0),
+            Token::new(0, "$", 1),
+            Token::new(num, "NUM", 2),
+        ];
+        let err = Parser::new(&t).parse(toks.clone()).unwrap_err();
+        assert_eq!(err.found.as_ref().map(|t| t.text()), Some("$"));
+        assert_eq!(err.offset, 1);
+        let (tree, errors) = Parser::new(&t).parse_with_recovery(toks.clone(), &[num], 8);
+        assert!(tree.is_none());
+        assert_eq!(errors[0], err);
+        let (_, errors) = Parser::new(&t).parse_with_error_token(toks, num, 8);
+        assert_eq!(errors[0], err);
     }
 
     #[test]

@@ -1,125 +1,215 @@
-//! Parse trees.
+//! Parse trees, stored as a flat postorder forest.
+
+use std::fmt;
 
 use lalr_tables::ParseTable;
 
 use crate::token::Token;
 
-/// A concrete parse tree: interior nodes are reductions, leaves are tokens.
+/// Tags a child id as an interior node; an untagged id is a leaf.
+const NODE: u32 = 1 << 31;
+
+/// One reduction: what it produced, its children (a range of the
+/// tree's child-id array), and the leaf and node totals of its subtree,
+/// summed when the reduction happened.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Record {
+    nonterminal: u32,
+    production: u32,
+    first: u32,
+    end: u32,
+    leaves: u32,
+    nodes: u32,
+}
+
+/// A concrete parse tree: interior nodes are reductions, leaves are
+/// tokens.
+///
+/// An LR parse emits the reverse rightmost derivation, a postorder
+/// sequence of reductions, and the tree is stored in that shape: the
+/// shifted tokens, one record per reduction in reduction order, and one
+/// array of child ids that each record's children are a range of. Leaf
+/// and node totals are summed as the reductions happen, so
+/// [`leaf_count`](Self::leaf_count) and [`node_count`](Self::node_count)
+/// read the root; dropping a tree frees a handful of `Vec`s.
 ///
 /// A document's tree is as deep as its input is long (a right-recursive
-/// list of `n` tokens nests `n` levels), so every walk the parse lane
-/// runs — [`to_sexpr`](Self::to_sexpr), [`leaf_count`](Self::leaf_count),
-/// [`node_count`](Self::node_count), [`height`](Self::height),
-/// [`leaves`](Self::leaves),
-/// [`reverse_rightmost_derivation`](Self::reverse_rightmost_derivation)
-/// and dropping the tree — keeps its path on a heap stack and needs no
-/// native stack in proportion to depth. The derived `Clone`, `PartialEq`
-/// and `Debug` still recurse once per level; the service never calls them
-/// on a document's tree.
+/// list of `n` tokens nests `n` levels), so the walks —
+/// [`to_sexpr`](Self::to_sexpr), [`height`](Self::height),
+/// [`leaves`](Self::leaves) and
+/// [`reverse_rightmost_derivation`](Self::reverse_rightmost_derivation) —
+/// keep their path on a heap stack and need no native stack in
+/// proportion to depth. Use [`root`](Self::root) to walk the tree
+/// yourself.
+///
+/// When `error`-token recovery pops a subtree, its records stay in the
+/// arrays unreferenced: every walk starts at the root, so they are never
+/// seen, and `==` compares trees built by the same driver on the same
+/// input.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParseTree {
-    /// A reduction by `production`, yielding `nonterminal`.
-    Node {
-        /// The produced nonterminal's index.
-        nonterminal: u32,
-        /// The production reduced.
-        production: u32,
-        /// One child per RHS symbol (empty for ε).
-        children: Vec<ParseTree>,
-    },
-    /// A shifted token.
-    Leaf(Token),
+pub struct ParseTree<'a> {
+    tokens: Vec<Token<'a>>,
+    nodes: Vec<Record>,
+    children: Vec<u32>,
+    root: u32,
 }
 
-/// One step of a depth-first, left-to-right walk.
-enum Step<'a> {
-    /// Entering a subtree: a leaf, or an interior node before its children.
-    Enter(&'a ParseTree),
-    /// Leaving an interior node after its last child.
-    Leave(&'a ParseTree),
+/// One event of a depth-first, left-to-right walk.
+enum Visit<'t, 'a> {
+    Leaf(&'t Token<'a>),
+    Open(&'t Record),
+    Close(&'t Record),
 }
 
-/// A depth-first walk over a heap stack of child iterators, one per open
-/// interior node.
-struct Walk<'a> {
-    root: Option<&'a ParseTree>,
-    open: Vec<(&'a ParseTree, std::slice::Iter<'a, ParseTree>)>,
-}
-
-impl<'a> Walk<'a> {
-    fn enter(&mut self, tree: &'a ParseTree) -> Step<'a> {
-        if let ParseTree::Node { children, .. } = tree {
-            self.open.push((tree, children.iter()));
+impl<'a> ParseTree<'a> {
+    /// An empty forest with room for `tokens` leaves (at most 65,536; a
+    /// larger input grows the arrays) and, as typical grammars reduce two
+    /// or three times per token, twice as many nodes.
+    pub(crate) fn with_capacity(tokens: usize) -> Self {
+        let tokens = tokens.min(1 << 16);
+        ParseTree {
+            tokens: Vec::with_capacity(tokens),
+            nodes: Vec::with_capacity(2 * tokens),
+            children: Vec::with_capacity(3 * tokens),
+            root: 0,
         }
-        Step::Enter(tree)
     }
-}
 
-impl<'a> Iterator for Walk<'a> {
-    type Item = Step<'a>;
+    /// The id the next leaf gets, or `None` when the forest already holds
+    /// as many leaves as an id can name.
+    pub(crate) fn next_leaf_id(&self) -> Option<u32> {
+        u32::try_from(self.tokens.len()).ok().filter(|&i| i < NODE)
+    }
 
-    fn next(&mut self) -> Option<Step<'a>> {
-        if let Some(root) = self.root.take() {
-            return Some(self.enter(root));
-        }
-        let (node, children) = self.open.last_mut()?;
-        match children.next() {
-            Some(child) => Some(self.enter(child)),
-            None => {
-                let node = *node;
-                self.open.pop();
-                Some(Step::Leave(node))
+    /// Adds the leaf [`next_leaf_id`](Self::next_leaf_id) named.
+    pub(crate) fn push_leaf(&mut self, token: Token<'a>) {
+        self.tokens.push(token);
+    }
+
+    /// Adds the node a reduction by `production` builds over `children`
+    /// and returns its id, or `None` when the forest holds as many nodes
+    /// as an id can name.
+    pub(crate) fn push_node(
+        &mut self,
+        nonterminal: u32,
+        production: u32,
+        children: &[u32],
+    ) -> Option<u32> {
+        let index = u32::try_from(self.nodes.len()).ok().filter(|&i| i < NODE)?;
+        let first = u32::try_from(self.children.len()).ok()?;
+        let end = first.checked_add(u32::try_from(children.len()).ok()?)?;
+        let (mut leaves, mut nodes) = (0u32, 1u32);
+        for &child in children {
+            if child & NODE == 0 {
+                leaves += 1;
+            } else {
+                let sub = &self.nodes[(child ^ NODE) as usize];
+                leaves += sub.leaves;
+                nodes += sub.nodes;
             }
         }
+        self.children.extend_from_slice(children);
+        self.nodes.push(Record {
+            nonterminal,
+            production,
+            first,
+            end,
+            leaves,
+            nodes,
+        });
+        Some(index | NODE)
     }
-}
 
-impl ParseTree {
-    fn walk(&self) -> Walk<'_> {
-        Walk {
-            root: Some(self),
-            open: Vec::new(),
+    /// Makes the subtree `root` the tree's root.
+    pub(crate) fn set_root(&mut self, root: u32) {
+        self.root = root;
+    }
+
+    fn subtree(&self, id: u32) -> Subtree<'_, 'a> {
+        if id & NODE == 0 {
+            Subtree::Leaf(&self.tokens[id as usize])
+        } else {
+            Subtree::Node(NodeView {
+                tree: self,
+                record: &self.nodes[(id ^ NODE) as usize],
+            })
+        }
+    }
+
+    /// The root, as a borrowed view to walk the tree from.
+    pub fn root(&self) -> Subtree<'_, 'a> {
+        self.subtree(self.root)
+    }
+
+    /// Visits the subtree under the root depth-first, left to right, with
+    /// the open nodes' child cursors on a heap stack.
+    fn visit<'t>(&'t self, mut visit: impl FnMut(Visit<'t, 'a>)) {
+        let mut open: Vec<(&'t Record, u32)> = Vec::new();
+        let mut id = self.root;
+        loop {
+            if id & NODE == 0 {
+                visit(Visit::Leaf(&self.tokens[id as usize]));
+            } else {
+                let record = &self.nodes[(id ^ NODE) as usize];
+                visit(Visit::Open(record));
+                open.push((record, record.first));
+            }
+            // The next child of the innermost open node, closing the
+            // nodes whose children are all visited.
+            loop {
+                let Some((record, cursor)) = open.last_mut() else {
+                    return;
+                };
+                if *cursor < record.end {
+                    id = self.children[*cursor as usize];
+                    *cursor += 1;
+                    break;
+                }
+                visit(Visit::Close(record));
+                open.pop();
+            }
         }
     }
 
     /// Number of token leaves.
     pub fn leaf_count(&self) -> usize {
-        self.walk()
-            .filter(|step| matches!(step, Step::Enter(ParseTree::Leaf(_))))
-            .count()
+        match self.root() {
+            Subtree::Leaf(_) => 1,
+            Subtree::Node(node) => node.leaf_count(),
+        }
     }
 
     /// Number of interior nodes (= reductions performed).
     pub fn node_count(&self) -> usize {
-        self.walk()
-            .filter(|step| matches!(step, Step::Leave(_)))
-            .count()
+        match self.root() {
+            Subtree::Leaf(_) => 0,
+            Subtree::Node(node) => node.node_count(),
+        }
     }
 
     /// Height of the tree (a leaf has height 0).
     pub fn height(&self) -> usize {
         let (mut depth, mut height) = (0usize, 0usize);
-        for step in self.walk() {
-            match step {
-                Step::Enter(ParseTree::Node { .. }) => {
-                    depth += 1;
-                    height = height.max(depth);
-                }
-                Step::Enter(ParseTree::Leaf(_)) => {}
-                Step::Leave(_) => depth -= 1,
+        self.visit(|step| match step {
+            Visit::Open(_) => {
+                depth += 1;
+                height = height.max(depth);
             }
-        }
+            Visit::Close(_) => depth -= 1,
+            Visit::Leaf(_) => {}
+        });
         height
     }
 
     /// The leaves in order — the parsed token sequence (round-trip check).
-    pub fn leaves(&self) -> Vec<&Token> {
-        self.walk()
-            .filter_map(|step| match step {
-                Step::Enter(ParseTree::Leaf(t)) => Some(t),
-                _ => None,
-            })
-            .collect()
+    pub fn leaves(&self) -> Vec<&Token<'a>> {
+        let mut leaves = Vec::with_capacity(self.leaf_count());
+        self.visit(|step| {
+            if let Visit::Leaf(token) = step {
+                leaves.push(token);
+            }
+        });
+        leaves
     }
 
     /// The *reverse rightmost derivation* this tree encodes — the sequence
@@ -127,78 +217,135 @@ impl ParseTree {
     /// children visited last). Replaying it backwards from the start
     /// symbol reproduces the input: the classic LR output convention.
     pub fn reverse_rightmost_derivation(&self) -> Vec<u32> {
-        self.walk()
-            .filter_map(|step| match step {
-                Step::Leave(ParseTree::Node { production, .. }) => Some(*production),
-                _ => None,
-            })
-            .collect()
+        let mut productions = Vec::with_capacity(self.node_count());
+        self.visit(|step| {
+            if let Visit::Close(record) = step {
+                productions.push(record.production);
+            }
+        });
+        productions
     }
 
     /// Renders the tree as an s-expression using the table's symbol names:
     /// a leaf is its token text, an interior node `(name child …)`, and
-    /// an ε-node `(name)`. One pass, linear in the output's length.
+    /// an ε-node `(name)`. One pass, linear in the output's length, into
+    /// a string sized up front.
     pub fn to_sexpr(&self, table: &ParseTable) -> String {
-        let mut out = String::new();
-        for (i, step) in self.walk().enumerate() {
-            match step {
-                Step::Enter(tree) => {
-                    if i > 0 {
-                        out.push(' ');
-                    }
-                    match tree {
-                        ParseTree::Leaf(t) => out.push_str(t.text()),
-                        ParseTree::Node { nonterminal, .. } => {
-                            out.push('(');
-                            out.push_str(table.nonterminal_name(*nonterminal));
-                        }
-                    }
-                }
-                Step::Leave(_) => out.push(')'),
+        // Exact unless recovery left unreferenced records behind: every
+        // entry but the first is preceded by a space, a node adds its
+        // name and two parentheses.
+        let text: usize = self.tokens.iter().map(|t| t.text().len()).sum();
+        let names: usize = self
+            .nodes
+            .iter()
+            .map(|r| table.nonterminal_name(r.nonterminal).len() + 2)
+            .sum();
+        let spaces = (self.tokens.len() + self.nodes.len()).saturating_sub(1);
+        let mut out = String::with_capacity(text + names + spaces);
+        let mut started = false;
+        self.visit(|step| {
+            if !matches!(step, Visit::Close(_)) && std::mem::replace(&mut started, true) {
+                out.push(' ');
             }
-        }
+            match step {
+                Visit::Leaf(token) => out.push_str(token.text()),
+                Visit::Open(record) => {
+                    out.push('(');
+                    out.push_str(table.nonterminal_name(record.nonterminal));
+                }
+                Visit::Close(_) => out.push(')'),
+            }
+        });
         out
     }
 }
 
-impl Drop for ParseTree {
-    /// Frees the subtrees from a heap stack instead of one native frame
-    /// per level, so a deep tree cannot overflow the dropping thread.
-    fn drop(&mut self) {
-        let ParseTree::Node { children, .. } = self else {
-            return;
-        };
-        let mut pending = std::mem::take(children);
-        while let Some(mut tree) = pending.pop() {
-            if let ParseTree::Node { children, .. } = &mut tree {
-                pending.append(children);
-            }
-        }
+/// A borrowed view of one subtree of a [`ParseTree`]: a shifted token or
+/// an interior node.
+#[derive(Debug, Clone, Copy)]
+pub enum Subtree<'t, 'a> {
+    /// A shifted token.
+    Leaf(&'t Token<'a>),
+    /// A reduction.
+    Node(NodeView<'t, 'a>),
+}
+
+/// A borrowed view of one interior node (one reduction) of a
+/// [`ParseTree`].
+#[derive(Clone, Copy)]
+pub struct NodeView<'t, 'a> {
+    tree: &'t ParseTree<'a>,
+    record: &'t Record,
+}
+
+impl<'t, 'a> NodeView<'t, 'a> {
+    /// The produced nonterminal's index.
+    pub fn nonterminal(self) -> u32 {
+        self.record.nonterminal
+    }
+
+    /// The production reduced.
+    pub fn production(self) -> u32 {
+        self.record.production
+    }
+
+    /// One child per RHS symbol, left to right (none for ε).
+    pub fn children(self) -> impl ExactSizeIterator<Item = Subtree<'t, 'a>> + 't {
+        let tree = self.tree;
+        tree.children[self.record.first as usize..self.record.end as usize]
+            .iter()
+            .map(move |&id| tree.subtree(id))
+    }
+
+    /// Token leaves under this node.
+    pub fn leaf_count(self) -> usize {
+        self.record.leaves as usize
+    }
+
+    /// Interior nodes under and including this node.
+    pub fn node_count(self) -> usize {
+        self.record.nodes as usize
+    }
+}
+
+impl fmt::Debug for NodeView<'_, '_> {
+    /// The node's own fields, not its subtree: a view can sit a million
+    /// levels above its leaves.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NodeView")
+            .field("nonterminal", &self.record.nonterminal)
+            .field("production", &self.record.production)
+            .field("children", &(self.record.end - self.record.first))
+            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::Parser;
 
-    fn leaf(text: &str) -> ParseTree {
-        ParseTree::Leaf(Token::new(1, text, 0))
+    fn table(src: &str) -> ParseTable {
+        let g = lalr_grammar::parse_grammar(src).unwrap();
+        let lr0 = lalr_automata::Lr0Automaton::build(&g);
+        let la = lalr_core::LalrAnalysis::compute(&g, &lr0).into_lookaheads();
+        lalr_tables::build_table(&g, &lr0, &la, lalr_tables::TableOptions::default())
+    }
+
+    fn tokens<'a>(t: &ParseTable, words: &[&'a str]) -> Vec<Token<'a>> {
+        words
+            .iter()
+            .enumerate()
+            .map(|(i, w)| Token::new(t.terminal_by_name(w).unwrap(), *w, i))
+            .collect()
     }
 
     #[test]
     fn counting() {
-        let tree = ParseTree::Node {
-            nonterminal: 1,
-            production: 1,
-            children: vec![
-                leaf("a"),
-                ParseTree::Node {
-                    nonterminal: 2,
-                    production: 2,
-                    children: vec![leaf("b"), leaf("c")],
-                },
-            ],
-        };
+        // (s a (t b c))
+        let t = table("s : \"a\" t ; t : \"b\" \"c\" ;");
+        let tree = Parser::new(&t).parse(tokens(&t, &["a", "b", "c"])).unwrap();
+        assert_eq!(tree.to_sexpr(&t), "(s a (t b c))");
         assert_eq!(tree.leaf_count(), 3);
         assert_eq!(tree.node_count(), 2);
         assert_eq!(tree.height(), 2);
@@ -208,98 +355,69 @@ mod tests {
 
     #[test]
     fn derivation_is_postorder() {
-        let tree = ParseTree::Node {
-            nonterminal: 1,
-            production: 1,
-            children: vec![
-                ParseTree::Node {
-                    nonterminal: 2,
-                    production: 2,
-                    children: vec![leaf("a")],
-                },
-                ParseTree::Node {
-                    nonterminal: 3,
-                    production: 3,
-                    children: vec![],
-                },
-            ],
+        let t = table("s : x e ; x : \"a\" ; e : ;");
+        let tree = Parser::new(&t).parse(tokens(&t, &["a"])).unwrap();
+        let Subtree::Node(root) = tree.root() else {
+            panic!("s is a reduction");
         };
-        assert_eq!(tree.reverse_rightmost_derivation(), vec![2, 3, 1]);
+        let kids: Vec<u32> = root
+            .children()
+            .map(|c| match c {
+                Subtree::Node(n) => n.production(),
+                Subtree::Leaf(_) => panic!("both children are reductions"),
+            })
+            .collect();
+        assert_eq!(
+            tree.reverse_rightmost_derivation(),
+            vec![kids[0], kids[1], root.production()]
+        );
+        assert_eq!(tree.to_sexpr(&t), "(s (x a) (e))");
     }
 
     #[test]
-    fn epsilon_node() {
-        let tree = ParseTree::Node {
-            nonterminal: 1,
-            production: 2,
-            children: vec![],
-        };
+    fn epsilon_root() {
+        let t = table("s : ;");
+        let tree = Parser::new(&t).parse(Vec::new()).unwrap();
         assert_eq!(tree.leaf_count(), 0);
         assert_eq!(tree.node_count(), 1);
         assert_eq!(tree.height(), 1);
-    }
-
-    fn table(src: &str) -> ParseTable {
-        let g = lalr_grammar::parse_grammar(src).unwrap();
-        let lr0 = lalr_automata::Lr0Automaton::build(&g);
-        let la = lalr_core::LalrAnalysis::compute(&g, &lr0).into_lookaheads();
-        lalr_tables::build_table(&g, &lr0, &la, lalr_tables::TableOptions::default())
+        assert_eq!(tree.to_sexpr(&t), "(s)");
+        let Subtree::Node(root) = tree.root() else {
+            panic!("s is a reduction");
+        };
+        assert_eq!(root.children().len(), 0);
     }
 
     #[test]
-    fn a_lone_leaf_is_its_own_sexpr() {
-        let tree = leaf("a");
-        assert_eq!(tree.to_sexpr(&table("s : \"a\" ;")), "a");
-        assert_eq!(
-            (tree.leaf_count(), tree.node_count(), tree.height()),
-            (1, 0, 0)
-        );
-        assert!(tree.reverse_rightmost_derivation().is_empty());
+    fn empty_leaf_text_still_separates_entries() {
+        let t = table("s : \"a\" \"b\" ;");
+        let a = t.terminal_by_name("a").unwrap();
+        let b = t.terminal_by_name("b").unwrap();
+        let tree = Parser::new(&t)
+            .parse([Token::new(a, "", 0), Token::new(b, "", 0)])
+            .unwrap();
+        assert_eq!(tree.to_sexpr(&t), "(s  )");
     }
 
     /// A million-level tree — the shape `s : "a" s | ;` gives a
-    /// million-token document — walked, rendered and dropped on a thread
-    /// whose whole stack is 256 KiB.
+    /// million-token document — built by the driver, walked and rendered
+    /// on a thread whose whole stack is 256 KiB.
     #[test]
     fn million_level_tree_needs_no_deep_stack() {
         const DEPTH: usize = 1_000_000;
         let t = table("s : \"a\" s | ;");
         let a = t.terminal_by_name("a").unwrap();
-        // The ids of `s`, `s : "a" s` and `s : ε`, read off a parse of "a".
-        let one = crate::parser::Parser::new(&t)
-            .parse([Token::new(a, "a", 0)])
-            .unwrap();
-        let ParseTree::Node {
-            nonterminal: s,
-            production: cons,
-            children,
-        } = &one
-        else {
-            panic!("s derives \"a\" by a reduction");
-        };
-        let ParseTree::Node {
-            production: empty, ..
-        } = &children[1]
-        else {
-            panic!("the inner s is the ε-reduction");
-        };
-        let (s, cons, empty) = (*s, *cons, *empty);
 
         std::thread::Builder::new()
             .stack_size(256 << 10)
             .spawn(move || {
-                let mut tree = ParseTree::Node {
-                    nonterminal: s,
-                    production: empty,
-                    children: Vec::new(),
+                let tree = Parser::new(&t)
+                    .parse((0..DEPTH).map(|i| Token::new(a, "a", i)))
+                    .expect("a* is in the language");
+                let Subtree::Node(root) = tree.root() else {
+                    panic!("s derives \"a\" by a reduction");
                 };
-                for i in (0..DEPTH).rev() {
-                    tree = ParseTree::Node {
-                        nonterminal: s,
-                        production: cons,
-                        children: vec![ParseTree::Leaf(Token::new(a, "a", i)), tree],
-                    };
-                }
+                let (s, cons) = (root.nonterminal(), root.production());
                 let name = t.nonterminal_name(s);
                 let expected =
                     format!("({name} a ").repeat(DEPTH) + &format!("({name})") + &")".repeat(DEPTH);
@@ -312,9 +430,11 @@ mod tests {
                 assert!(leaves.iter().enumerate().all(|(i, l)| l.offset() == i));
                 let derivation = tree.reverse_rightmost_derivation();
                 assert_eq!(derivation.len(), DEPTH + 1);
-                assert_eq!(derivation[0], empty);
+                assert_ne!(derivation[0], cons, "the innermost s is the ε-reduction");
                 assert!(derivation[1..].iter().all(|&p| p == cons));
-                drop(tree);
+                let copy = tree.clone();
+                assert!(copy == tree);
+                drop((tree, copy));
             })
             .unwrap()
             .join()

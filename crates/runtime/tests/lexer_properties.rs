@@ -68,7 +68,8 @@ proptest! {
             .build();
         if let Ok(tokens) = lexer.tokenize(&input) {
             let rebuilt: Vec<String> = tokens.iter().map(|t| t.text().to_string()).collect();
-            let again = lexer.tokenize(&rebuilt.join(" ")).expect("re-lexable");
+            let rebuilt = rebuilt.join(" ");
+            let again = lexer.tokenize(&rebuilt).expect("re-lexable");
             let a: Vec<u32> = tokens.iter().map(|t| t.terminal()).collect();
             let b: Vec<u32> = again.iter().map(|t| t.terminal()).collect();
             prop_assert_eq!(a, b);

@@ -168,9 +168,11 @@ impl CompiledArtifact {
     fn estimate_bytes(&self) -> usize {
         use std::mem::size_of;
 
-        let ts = self.table.stats();
-        let dense_table = ts.states * ts.terminals * size_of::<lalr_tables::Action>()
-            + ts.states * ts.nonterminals * size_of::<u32>();
+        // The dimensions alone: `ParseTable::stats` would scan every cell.
+        let states = self.table.state_count() as usize;
+        let dense_table =
+            states * self.table.terminal_count() as usize * size_of::<lalr_tables::Action>()
+                + states * self.table.nonterminal_count() as usize * size_of::<u32>();
         let compressed_table = self.compressed.explicit_entries()
             * (size_of::<u32>() + size_of::<lalr_tables::Action>())
             + self.compressed.state_count() * 2 * size_of::<lalr_tables::Action>();

@@ -59,7 +59,7 @@ use lalr_net::{
 use lalr_obs::ActiveTrace;
 use rustc_hash::FxHashMap;
 
-use crate::protocol::{request_from_value, response_to_line};
+use crate::protocol::{request_from_value, response_into_line, response_to_line};
 use crate::service::{Request, Response, Service, ServiceConfig, STAGE_WRITE};
 use crate::telemetry::{DaemonCounters, ShardCounters};
 use crate::ServiceError;
@@ -853,7 +853,7 @@ impl Shard {
                     let limit = self.shared.config.max_line_bytes;
                     let ok = self.queue_response(
                         token,
-                        &Response::Error(ServiceError::TooLarge {
+                        Response::Error(ServiceError::TooLarge {
                             size: limit + 1,
                             limit,
                         }),
@@ -906,7 +906,7 @@ impl Shard {
                             let rate = self.shared.config.rate_limit_per_sec;
                             let ok = self.queue_response(
                                 token,
-                                &Response::Error(ServiceError::Throttled(format!(
+                                Response::Error(ServiceError::Throttled(format!(
                                     "request rate limit ({rate}/s) exceeded; retry after backoff"
                                 ))),
                             );
@@ -927,7 +927,7 @@ impl Shard {
                                 .fetch_add(1, Ordering::Relaxed);
                             let ok = self.queue_response(
                                 token,
-                                &Response::Error(ServiceError::Throttled(
+                                Response::Error(ServiceError::Throttled(
                                     "injected fault at daemon.admit".to_string(),
                                 )),
                             );
@@ -952,7 +952,7 @@ impl Shard {
                     let (request, deadline) = match parsed {
                         Ok(p) => p,
                         Err(e) => {
-                            let ok = self.queue_response(token, &Response::Error(e));
+                            let ok = self.queue_response(token, Response::Error(e));
                             self.flush(token);
                             if !ok {
                                 return;
@@ -1019,7 +1019,7 @@ impl Shard {
             self.close(token);
             return;
         }
-        let ok = self.queue_response(token, &response);
+        let ok = self.queue_response(token, response);
         if is_shutdown {
             self.trigger_shutdown();
             if let Some(conn) = self.conns.get_mut(&token) {
@@ -1038,14 +1038,15 @@ impl Shard {
     }
 
     /// Serializes and queues one response line, applying the
-    /// `daemon.write` failpoint.
+    /// `daemon.write` failpoint. The response is consumed: a parse
+    /// reply's trees move into the encoder rather than being copied.
     /// Returns `false` when the fault consumed or cut the response (the
     /// connection is then marked to close after flushing).
-    fn queue_response(&mut self, token: u64, response: &Response) -> bool {
+    fn queue_response(&mut self, token: u64, response: Response) -> bool {
         let Some(conn) = self.conns.get_mut(&token) else {
             return false;
         };
-        let line = response_to_line(response);
+        let line = response_into_line(response);
         match self.shared.config.faults.at("daemon.write") {
             Some(Fault::Error) => {
                 // Response eaten whole.

@@ -28,8 +28,8 @@ use crate::artifact::GrammarFormat;
 use crate::error::ServiceError;
 use crate::fingerprint::{format_fingerprint, parse_fingerprint};
 use crate::service::{
-    AdmissionRejects, DocVerdict, HealthReport, ParseTarget, Request, Response, StatsSnapshot,
-    TraceDump, TraceFilter,
+    AdmissionRejects, DocVerdict, HealthReport, ParseBatchSummary, ParseTarget, Request, Response,
+    StatsSnapshot, TraceDump, TraceFilter,
 };
 
 /// Encodes a request (plus optional per-request deadline) as one JSON
@@ -329,16 +329,13 @@ pub fn response_to_value(response: &Response) -> Value {
             }
             object(pairs)
         }
-        Response::Parse(p) => object([
-            ("ok", Value::Bool(true)),
-            ("op", "parse".into()),
-            ("fingerprint", p.fingerprint.as_str().into()),
-            ("cached", Value::Bool(p.cached)),
-            (
-                "docs",
-                Value::Arr(p.docs.iter().map(verdict_to_value).collect()),
-            ),
-        ]),
+        Response::Parse(p) => parse_to_value(
+            p,
+            p.docs
+                .iter()
+                .map(|v| verdict_to_value(v, v.tree.as_deref().map(Value::from)))
+                .collect(),
+        ),
         Response::Stats(s) => stats_to_value(s),
         Response::Metrics(text) => object([
             ("ok", Value::Bool(true)),
@@ -359,15 +356,27 @@ pub fn response_to_value(response: &Response) -> Value {
     }
 }
 
-/// Encodes one per-document verdict.
-fn verdict_to_value(v: &DocVerdict) -> Value {
+/// Encodes a parse reply around its already encoded verdicts.
+fn parse_to_value(p: &ParseBatchSummary, docs: Vec<Value>) -> Value {
+    object([
+        ("ok", Value::Bool(true)),
+        ("op", "parse".into()),
+        ("fingerprint", p.fingerprint.as_str().into()),
+        ("cached", Value::Bool(p.cached)),
+        ("docs", Value::Arr(docs)),
+    ])
+}
+
+/// Encodes one per-document verdict; `tree` is its tree, copied or moved
+/// out of the verdict by the caller.
+fn verdict_to_value(v: &DocVerdict, tree: Option<Value>) -> Value {
     let mut pairs = vec![
         ("accepted", Value::Bool(v.accepted)),
         ("leaves", v.leaves.into()),
         ("nodes", v.nodes.into()),
     ];
-    if let Some(tree) = &v.tree {
-        pairs.push(("tree", tree.as_str().into()));
+    if let Some(tree) = tree {
+        pairs.push(("tree", tree));
     }
     if let Some(e) = &v.error {
         let mut err_pairs = vec![
@@ -614,6 +623,24 @@ pub fn response_to_line(response: &Response) -> String {
     response_to_value(response).to_string()
 }
 
+/// Encodes a response as one protocol line, byte-identical to
+/// [`response_to_line`], consuming it: each parse verdict's tree moves
+/// into the encoded value instead of being copied, so a reply holds its
+/// trees twice (value and line) at its peak, not three times.
+pub fn response_into_line(response: Response) -> String {
+    let Response::Parse(mut p) = response else {
+        return response_to_line(&response);
+    };
+    let docs = std::mem::take(&mut p.docs)
+        .into_iter()
+        .map(|mut v| {
+            let tree = v.tree.take().map(Value::Str);
+            verdict_to_value(&v, tree)
+        })
+        .collect();
+    parse_to_value(&p, docs).to_string()
+}
+
 /// Encodes a request as one protocol line (no trailing newline).
 pub fn request_to_line(request: &Request, deadline: Option<Duration>) -> String {
     request_to_value(request, deadline).to_string()
@@ -847,7 +874,7 @@ mod tests {
 
     #[test]
     fn parse_responses_render_per_document_verdicts() {
-        use crate::service::{DocError, ParseBatchSummary};
+        use crate::service::DocError;
         let r = Response::Parse(ParseBatchSummary {
             fingerprint: "00000000000000ff".to_string(),
             cached: true,
@@ -876,6 +903,11 @@ mod tests {
             ],
         });
         let line = response_to_line(&r);
+        assert_eq!(
+            response_into_line(r),
+            line,
+            "moving the trees changes no byte"
+        );
         let v = serde_json::from_str(&line).unwrap();
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
         assert_eq!(v.get("cached").and_then(Value::as_bool), Some(true));
@@ -903,6 +935,7 @@ mod tests {
             limit: 10,
         });
         let line = response_to_line(&r);
+        assert_eq!(response_into_line(r), line);
         let v = serde_json::from_str(&line).unwrap();
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
         let e = v.get("error").unwrap();

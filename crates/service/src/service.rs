@@ -1,5 +1,6 @@
 //! The request engine: a worker pool over the cache.
 
+use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -9,7 +10,7 @@ use std::time::{Duration, Instant};
 use lalr_chaos::{Fault, FaultInjector, FaultPointStats};
 use lalr_core::{DigraphStats, Parallelism, RelationStats};
 use lalr_obs::{ActiveTrace, CollectingRecorder, FlightRecorder, RequestTrace, STAGE_COUNT};
-use lalr_runtime::{Parser, Token};
+use lalr_runtime::{terminal_index, Parser, Token};
 
 use crate::artifact::{CompiledArtifact, GrammarFormat};
 use crate::cache::{ArtifactCache, CacheConfig, CacheOutcome, CacheStats};
@@ -490,8 +491,11 @@ pub struct DocVerdict {
 pub struct DocError {
     /// Human-readable message.
     pub message: String,
-    /// Where the error points: the offending token's offset, or — at end
-    /// of input — one past the end of the last consumed token.
+    /// Where the error points. A document's token offsets are token
+    /// indices, so a mid-input error points at the offending token's
+    /// index. At end of input it is the last consumed token's index plus
+    /// the byte length of its text, as the runtime computes it for lexed
+    /// input: `( NUM` → 4, `NUM +` → 2.
     pub offset: u64,
     /// The offending token text, absent at end of input.
     pub found: Option<String>,
@@ -1415,12 +1419,14 @@ impl Inner {
         self.parse_resolutions.fetch_add(1, Ordering::Relaxed);
         self.parse_batches.fetch_add(1, Ordering::Relaxed);
         let table = artifact.table();
+        // One name map per batch serves every word of every document.
+        let names = terminal_index(table);
         // Resolve recovery sync tokens up front: a bad name fails the
         // request, not one document.
         let mut sync_ids = Vec::with_capacity(sync.len());
         for name in sync {
-            match table.terminal_by_name(name) {
-                Some(t) => sync_ids.push(t),
+            match names.get(name.as_str()) {
+                Some(&t) => sync_ids.push(t),
                 None => {
                     return Err(ServiceError::BadRequest(format!(
                         "unknown sync terminal {name:?}"
@@ -1429,6 +1435,9 @@ impl Inner {
             }
         }
         let mut docs = Vec::with_capacity(documents.len());
+        // One token buffer for the batch: each document's tokens borrow
+        // its words, and the parser drains them into the document's tree.
+        let mut tokens = Vec::new();
         for doc in documents {
             // The batch-boundary failpoint: checked between documents, so
             // a fault mid-batch aborts the remainder (the client sees one
@@ -1443,7 +1452,7 @@ impl Inner {
                 }
                 _ => {}
             }
-            docs.push(self.parse_document(table, doc, recover, &sync_ids));
+            docs.push(self.parse_document(table, &names, doc, recover, &sync_ids, &mut tokens));
         }
         if let (Some(trace), Some(t0)) = (trace, parse_started) {
             trace.add_stage(STAGE_PARSE, t0.elapsed().as_nanos() as u64);
@@ -1461,16 +1470,19 @@ impl Inner {
         })
     }
 
-    /// Parses one document (whitespace-separated terminal names; token
-    /// offsets are token indices) to a verdict. Never fails the batch:
+    /// Parses one document (whitespace-separated terminal names, looked
+    /// up in `names`; token offsets are token indices) to a verdict,
+    /// tokenising into the batch's `tokens` buffer. Never fails the batch:
     /// oversized documents and unknown terminals degrade to per-document
     /// error verdicts.
-    fn parse_document(
+    fn parse_document<'d>(
         &self,
         table: &lalr_tables::ParseTable,
-        doc: &str,
+        names: &HashMap<&str, u32>,
+        doc: &'d str,
         recover: bool,
         sync: &[u32],
+        tokens: &mut Vec<Token<'d>>,
     ) -> DocVerdict {
         let limit = self.config.max_document_bytes;
         if doc.len() > limit {
@@ -1484,10 +1496,10 @@ impl Inner {
                 expected: Vec::new(),
             });
         }
-        let mut tokens = Vec::new();
+        tokens.clear();
         for (i, word) in doc.split_whitespace().enumerate() {
-            match table.terminal_by_name(word) {
-                Some(t) => tokens.push(Token::new(t, word, i)),
+            match names.get(word) {
+                Some(&t) => tokens.push(Token::new(t, word, i)),
                 None => {
                     return DocVerdict::rejected(DocError {
                         message: format!("unknown terminal {word:?}"),
@@ -1505,7 +1517,7 @@ impl Inner {
             expected: e.expected.clone(),
         };
         if recover {
-            let (tree, errors) = Parser::new(table).parse_with_recovery(tokens, sync, 8);
+            let (tree, errors) = Parser::new(table).parse_with_recovery(tokens.drain(..), sync, 8);
             let (leaves, nodes, sexpr) = match &tree {
                 Some(t) => (
                     t.leaf_count() as u64,
@@ -1523,7 +1535,7 @@ impl Inner {
                 error_count: errors.len() as u64,
             }
         } else {
-            match Parser::new(table).parse(tokens) {
+            match Parser::new(table).parse(tokens.drain(..)) {
                 Ok(tree) => DocVerdict {
                     accepted: true,
                     leaves: tree.leaf_count() as u64,

@@ -10,7 +10,10 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use lalr_service::client::{self, ClientReply};
-use lalr_service::{DaemonConfig, EventDaemon, Fault, FaultPlan, GrammarFormat, Request, Trigger};
+use lalr_service::{
+    DaemonConfig, DocError, EventDaemon, Fault, FaultPlan, GrammarFormat, ParseTarget, Request,
+    Response, Service, ServiceConfig, Trigger,
+};
 
 use serde_json::Value;
 
@@ -280,6 +283,64 @@ fn oversized_document_degrades_to_a_per_document_error() {
     assert!(reply.is_ok(), "{}", reply.raw);
     daemon.stop();
     daemon.join();
+}
+
+/// One in-process parse batch against corpus `expr`; the per-document
+/// errors, or the request-level error.
+fn expr_batch(documents: &[&str], sync: &[&str]) -> Result<Vec<Option<DocError>>, String> {
+    let service = Service::new(ServiceConfig::default());
+    let request = Request::Parse {
+        target: ParseTarget::Text {
+            grammar: lalr_corpus::by_name("expr")
+                .expect("in corpus")
+                .source
+                .to_string(),
+            format: GrammarFormat::Native,
+        },
+        documents: documents.iter().map(|d| d.to_string()).collect(),
+        recover: !sync.is_empty(),
+        sync: sync.iter().map(|s| s.to_string()).collect(),
+    };
+    match service.call(request, None) {
+        Response::Parse(summary) => Ok(summary.docs.into_iter().map(|d| d.error).collect()),
+        other => Err(format!("{other:?}")),
+    }
+}
+
+#[test]
+fn an_end_marker_word_is_an_unknown_terminal_not_an_early_end() {
+    // `$` names terminal 0, the end marker. Looked up like any other
+    // word it ended the document at the `$`: `NUM $ NUM` was accepted
+    // with one leaf and the last `NUM` dropped.
+    let errors = expr_batch(&["NUM $ NUM", "$", "NUM + NUM"], &[]).unwrap();
+    let error = errors[0].as_ref().expect("NUM $ NUM is rejected");
+    assert_eq!(error.offset, 1);
+    assert_eq!(error.message, "unknown terminal \"$\"");
+    assert_eq!(error.found.as_deref(), Some("$"));
+    assert_eq!(errors[1].as_ref().map(|e| e.offset), Some(0));
+    assert!(errors[2].is_none(), "{errors:?}");
+    // A `$` recovery sync name is unknown too.
+    let err = expr_batch(&["NUM"], &["$"]).unwrap_err();
+    assert!(err.contains("unknown sync terminal"), "{err}");
+}
+
+#[test]
+fn end_of_input_errors_point_past_the_last_word_by_its_length() {
+    // Token offsets are word indices; at end of input the offset is the
+    // last word's index plus that word's byte length.
+    let errors = expr_batch(&["( NUM", "NUM * ( NUM", "NUM +"], &[]).unwrap();
+    let offsets: Vec<Option<u64>> = errors
+        .iter()
+        .map(|e| e.as_ref().map(|e| e.offset))
+        .collect();
+    assert_eq!(offsets, [Some(4), Some(6), Some(2)]);
+    for e in errors.iter().flatten() {
+        assert_eq!(e.found, None, "{e:?}");
+        assert!(
+            e.message.starts_with("unexpected end of input at offset"),
+            "{e:?}"
+        );
+    }
 }
 
 #[test]

@@ -12,7 +12,7 @@ use lalr_core::LalrAnalysis;
 use lalr_runtime::{CompressedSource, Parser, Token};
 use lalr_tables::{build_table, CompressedTable, ParseTable, TableOptions};
 
-fn tokens(table: &ParseTable, words: &[String]) -> Vec<Token> {
+fn tokens<'w>(table: &ParseTable, words: &'w [String]) -> Vec<Token<'w>> {
     words
         .iter()
         .enumerate()
@@ -20,7 +20,7 @@ fn tokens(table: &ParseTable, words: &[String]) -> Vec<Token> {
             let t = table
                 .terminal_by_name(w)
                 .unwrap_or_else(|| panic!("terminal {w:?} missing from table"));
-            Token::new(t, w.clone(), i)
+            Token::new(t, w, i)
         })
         .collect()
 }

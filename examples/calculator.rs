@@ -6,7 +6,7 @@
 //! ```
 
 use lalr::prelude::*;
-use lalr::runtime::ParseTree;
+use lalr::runtime::Subtree;
 
 const GRAMMAR: &str = r#"
     %left "+" "-"
@@ -22,28 +22,30 @@ const GRAMMAR: &str = r#"
          ;
 "#;
 
-fn eval(tree: &ParseTree) -> f64 {
-    match tree {
-        ParseTree::Leaf(tok) => tok.text().parse().unwrap_or(0.0),
-        ParseTree::Node { children, .. } => match children.as_slice() {
-            // expr op expr
-            [l, ParseTree::Leaf(op), r] if "+-*/".contains(op.text()) => {
-                let (a, b) = (eval(l), eval(r));
-                match op.text() {
-                    "+" => a + b,
-                    "-" => a - b,
-                    "*" => a * b,
-                    _ => a / b,
-                }
+fn eval(tree: Subtree) -> f64 {
+    let node = match tree {
+        Subtree::Leaf(tok) => return tok.text().parse().unwrap_or(0.0),
+        Subtree::Node(node) => node,
+    };
+    let children: Vec<Subtree> = node.children().collect();
+    match children.as_slice() {
+        // expr op expr
+        [l, Subtree::Leaf(op), r] if "+-*/".contains(op.text()) => {
+            let (a, b) = (eval(*l), eval(*r));
+            match op.text() {
+                "+" => a + b,
+                "-" => a - b,
+                "*" => a * b,
+                _ => a / b,
             }
-            // ( expr )
-            [ParseTree::Leaf(open), inner, _close] if open.text() == "(" => eval(inner),
-            // - expr
-            [ParseTree::Leaf(minus), inner] if minus.text() == "-" => -eval(inner),
-            // unit productions
-            [single] => eval(single),
-            other => panic!("unexpected node shape: {} children", other.len()),
-        },
+        }
+        // ( expr )
+        [Subtree::Leaf(open), inner, _close] if open.text() == "(" => eval(*inner),
+        // - expr
+        [Subtree::Leaf(minus), inner] if minus.text() == "-" => -eval(*inner),
+        // unit productions
+        [single] => eval(*single),
+        other => panic!("unexpected node shape: {} children", other.len()),
     }
 }
 
@@ -73,6 +75,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let lexer = Lexer::for_table(&table).number("NUM").build();
     let tree = Parser::new(&table).parse(lexer.tokenize(&input)?)?;
-    println!("{input} = {}", eval(&tree));
+    println!("{input} = {}", eval(tree.root()));
     Ok(())
 }

@@ -6,7 +6,7 @@ use lalr::corpus::sentences::generate_many;
 use lalr::prelude::*;
 use lalr::runtime::Token;
 
-fn tokens_for(sentence: &[lalr::grammar::Terminal], grammar: &Grammar) -> Vec<Token> {
+fn tokens_for<'g>(sentence: &[lalr::grammar::Terminal], grammar: &'g Grammar) -> Vec<Token<'g>> {
     sentence
         .iter()
         .enumerate()

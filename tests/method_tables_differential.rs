@@ -11,7 +11,7 @@ use lalr::runtime::Token;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn tokens(sentence: &[lalr::grammar::Terminal], g: &Grammar) -> Vec<Token> {
+fn tokens<'g>(sentence: &[lalr::grammar::Terminal], g: &'g Grammar) -> Vec<Token<'g>> {
     sentence
         .iter()
         .enumerate()

@@ -21,7 +21,7 @@ use std::sync::mpsc::RecvTimeoutError;
 use lalr::corpus::sentences::{generate_many, mutate_many};
 use lalr::grammar::Terminal;
 use lalr::prelude::*;
-use lalr::runtime::{CompressedSource, ParseTree};
+use lalr::runtime::{CompressedSource, ParseTree, Subtree};
 use lalr_service::{
     DocVerdict, GrammarFormat, ParseTarget, Request, Response, Service, ServiceConfig,
 };
@@ -43,7 +43,7 @@ fn conflict_free_table(grammar: &Grammar) -> Option<ParseTable> {
 
 /// Service-convention tokens: text = terminal name, offset = token
 /// index. Identical to what the daemon's lane does with the document.
-fn tokens_for(sentence: &[Terminal], grammar: &Grammar) -> Vec<Token> {
+fn tokens_for<'g>(sentence: &[Terminal], grammar: &'g Grammar) -> Vec<Token<'g>> {
     sentence
         .iter()
         .enumerate()
@@ -64,19 +64,19 @@ fn doc_for(sentence: &[Terminal], grammar: &Grammar) -> String {
 /// rebuilds every subtree's text at each ancestor: the byte-identity
 /// reference for the one-pass renderer.
 fn reference_sexpr(tree: &ParseTree, table: &ParseTable) -> String {
+    render_subtree(tree.root(), table)
+}
+
+fn render_subtree(tree: Subtree<'_, '_>, table: &ParseTable) -> String {
     match tree {
-        ParseTree::Leaf(t) => t.text().to_string(),
-        ParseTree::Node {
-            nonterminal,
-            children,
-            ..
-        } => {
-            let name = table.nonterminal_name(*nonterminal);
-            if children.is_empty() {
+        Subtree::Leaf(t) => t.text().to_string(),
+        Subtree::Node(node) => {
+            let name = table.nonterminal_name(node.nonterminal());
+            if node.children().len() == 0 {
                 format!("({name})")
             } else {
                 let inner: Vec<String> =
-                    children.iter().map(|c| reference_sexpr(c, table)).collect();
+                    node.children().map(|c| render_subtree(c, table)).collect();
                 format!("({} {})", name, inner.join(" "))
             }
         }
@@ -355,7 +355,12 @@ fn error_recovery_terminates_on_every_mutant() {
     for (seed, budget) in [(0xE770, 30), (0x5EED, 200)] {
         let sentences = generate_many(&grammar, seed, 40, budget);
         for (_, mutant) in mutate_many(&grammar, &sentences, 0xBAD5EED ^ seed, 400) {
-            mutants.push(tokens_for(&mutant, &grammar));
+            // Owned text: the tokens move to the helper thread below.
+            let toks: Vec<Token<'static>> = tokens_for(&mutant, &grammar)
+                .into_iter()
+                .map(Token::into_owned)
+                .collect();
+            mutants.push(toks);
         }
     }
     assert_eq!(mutants.len(), 800);

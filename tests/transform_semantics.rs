@@ -28,11 +28,11 @@ fn oracle(grammar: &Grammar) -> Option<(ParseTable, Grammar)> {
 
 /// Re-encodes a sentence of `from` into tokens of `to` by terminal *name*
 /// (transformations re-intern symbols, so indices shift).
-fn reencode(
+fn reencode<'g>(
     sentence: &[lalr::grammar::Terminal],
-    from: &Grammar,
+    from: &'g Grammar,
     to: &ParseTable,
-) -> Option<Vec<Token>> {
+) -> Option<Vec<Token<'g>>> {
     sentence
         .iter()
         .enumerate()
