@@ -375,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn epsilon_root() {
+    fn epsilon_node() {
         let t = table("s : ;");
         let tree = Parser::new(&t).parse(Vec::new()).unwrap();
         assert_eq!(tree.leaf_count(), 0);
