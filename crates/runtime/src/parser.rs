@@ -106,13 +106,14 @@ enum Step {
     Failed(u32),
 }
 
-/// One parse in progress: the state stack, the value stack of child ids
-/// (one per state above the bottom one), the forest built so far and the
+/// One parse in progress: the LR stack, the forest built so far and the
 /// unread input.
 struct Run<'p, 'a, S, I: Iterator<Item = Token<'a>>> {
     table: &'p S,
-    states: Vec<u32>,
-    values: Vec<u32>,
+    /// `(state, child id)` pairs: each state with the subtree shifted or
+    /// reduced into it. The bottom entry is the start state, whose id is
+    /// unused.
+    stack: Vec<(u32, u32)>,
     tree: ParseTree<'a>,
     input: Peekable<I>,
     /// Where an end-of-input error points: the last consumed token's
@@ -122,12 +123,11 @@ struct Run<'p, 'a, S, I: Iterator<Item = Token<'a>>> {
 
 impl<'p, 'a, S: ActionSource, I: Iterator<Item = Token<'a>>> Run<'p, 'a, S, I> {
     fn new(table: &'p S, input: I) -> Self {
-        let mut states = Vec::with_capacity(64);
-        states.push(0);
+        let mut stack = Vec::with_capacity(64);
+        stack.push((0, 0));
         Run {
             table,
-            states,
-            values: Vec::with_capacity(64),
+            stack,
             tree: ParseTree::with_capacity(input.size_hint().0),
             input: input.peekable(),
             end: 0,
@@ -136,7 +136,7 @@ impl<'p, 'a, S: ActionSource, I: Iterator<Item = Token<'a>>> Run<'p, 'a, S, I> {
 
     /// The shift/reduce step every driver runs.
     fn step(&mut self) -> Step {
-        let state = *self.states.last().expect("stack never empties");
+        let (state, _) = *self.stack.last().expect("stack never empties");
         let terminal = self.input.peek().map_or(0, Token::terminal); // $ is terminal 0
         match self.table.action(state, terminal) {
             Action::Shift(next) => {
@@ -146,28 +146,27 @@ impl<'p, 'a, S: ActionSource, I: Iterator<Item = Token<'a>>> Run<'p, 'a, S, I> {
                 let tok = self.input.next().expect("shift only on real tokens");
                 self.end = tok.offset() + tok.text().len();
                 self.tree.push_leaf(tok);
-                self.values.push(id);
-                self.states.push(next);
+                self.stack.push((next, id));
                 Step::Shifted
             }
             Action::Reduce(prod) => {
                 let info = self.table.production(prod);
                 let base = self
-                    .values
+                    .stack
                     .len()
                     .checked_sub(info.rhs_len as usize)
+                    .filter(|&base| base > 0)
                     .expect("a reduction pops only what was pushed");
-                self.states.truncate(base + 1);
-                let top = *self.states.last().expect("stack never empties");
+                let (top, _) = self.stack[base - 1];
                 let Some(next) = self.table.goto(top, info.lhs) else {
                     return Step::Failed(top);
                 };
-                let Some(id) = self.tree.push_node(info.lhs, prod, &self.values[base..]) else {
+                let children = self.stack[base..].iter().map(|&(_, id)| id);
+                let Some(id) = self.tree.push_node(info.lhs, prod, children) else {
                     return Step::Failed(top);
                 };
-                self.values.truncate(base);
-                self.values.push(id);
-                self.states.push(next);
+                self.stack.truncate(base);
+                self.stack.push((next, id));
                 Step::Reduced
             }
             Action::Accept if self.input.peek().is_none() => Step::Accepted,
@@ -196,15 +195,12 @@ impl<'p, 'a, S: ActionSource, I: Iterator<Item = Token<'a>>> Run<'p, 'a, S, I> {
         true
     }
 
-    /// Pops one state and the subtree above it.
-    fn pop(&mut self) {
-        self.states.pop();
-        self.values.pop();
-    }
-
-    /// The tree, rooted at the top of the value stack.
+    /// The tree, rooted at the subtree on top of the stack.
     fn finish(mut self) -> ParseTree<'a> {
-        let root = self.values.pop().expect("accept implies a full tree");
+        let (_, root) = self.stack[1..]
+            .last()
+            .copied()
+            .expect("accept implies a full tree");
         self.tree.set_root(root);
         self.tree
     }
@@ -300,13 +296,13 @@ impl<'t, S: ActionSource> Parser<'t, S> {
             clean_shifts = 0;
             // 1. Pop until `error` shifts.
             let resume = loop {
-                let Some(&s) = run.states.last() else {
+                let Some(&(s, _)) = run.stack.last() else {
                     return (None, errors);
                 };
                 if let Action::Shift(next) = self.table.action(s, error_terminal) {
                     break next;
                 }
-                run.pop();
+                run.stack.pop();
             };
             // 2. Shift the synthetic error token.
             let Some(id) = run.tree.next_leaf_id() else {
@@ -316,8 +312,7 @@ impl<'t, S: ActionSource> Parser<'t, S> {
             let offset = run.input.peek().map_or(usize::MAX, Token::offset);
             run.tree
                 .push_leaf(Token::new(error_terminal, "<error>", offset));
-            run.values.push(id);
-            run.states.push(resume);
+            run.stack.push((resume, id));
             // 3. Discard input until a token is actionable here; at end
             // of input, `$` drives the reductions or accept.
             while run
@@ -368,7 +363,7 @@ impl<'t, S: ActionSource> Parser<'t, S> {
             // Panic mode: pop states until one shifts a sync token, then
             // skip input up to a sync token.
             let mut recovered = false;
-            while let Some(&s) = run.states.last() {
+            while let Some(&(s, _)) = run.stack.last() {
                 if sync.iter().any(|&t| self.table.action(s, t).is_shift()) {
                     while let Some(t) = run.input.peek() {
                         if sync.contains(&t.terminal()) {
@@ -379,7 +374,7 @@ impl<'t, S: ActionSource> Parser<'t, S> {
                     }
                     break;
                 }
-                run.pop();
+                run.stack.pop();
             }
             if !recovered {
                 return (None, errors);

@@ -93,13 +93,13 @@ impl<'a> ParseTree<'a> {
         &mut self,
         nonterminal: u32,
         production: u32,
-        children: &[u32],
+        children: impl ExactSizeIterator<Item = u32>,
     ) -> Option<u32> {
         let index = u32::try_from(self.nodes.len()).ok().filter(|&i| i < NODE)?;
         let first = u32::try_from(self.children.len()).ok()?;
         let end = first.checked_add(u32::try_from(children.len()).ok()?)?;
         let (mut leaves, mut nodes) = (0u32, 1u32);
-        for &child in children {
+        for child in children {
             if child & NODE == 0 {
                 leaves += 1;
             } else {
@@ -107,8 +107,8 @@ impl<'a> ParseTree<'a> {
                 leaves += sub.leaves;
                 nodes += sub.nodes;
             }
+            self.children.push(child);
         }
-        self.children.extend_from_slice(children);
         self.nodes.push(Record {
             nonterminal,
             production,
