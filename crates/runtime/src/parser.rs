@@ -217,8 +217,10 @@ impl<'t, S: ActionSource> Parser<'t, S> {
     /// # Errors
     ///
     /// Returns the first [`ParseError`]; the input is not consumed past it.
-    /// A token whose terminal is the end marker `$` (index 0) is an error
-    /// unless it is the last token. A document that needs `2^31` or more
+    /// Any token whose terminal is the end marker `$` (index 0) is an
+    /// error at that token, the last one included: no state shifts `$`,
+    /// and the end of input is where the tokens run out. A document that
+    /// needs `2^31` or more
     /// leaves or reductions is refused at the first one that does not fit
     /// a tree's `u32` ids.
     pub fn parse<'a, I>(&self, tokens: I) -> Result<ParseTree<'a>, ParseError>
@@ -451,8 +453,9 @@ mod tests {
 
     #[test]
     fn an_end_marker_token_does_not_end_the_input_early() {
-        // Terminal 0 is `$`; a hand-built `$` token followed by more input
-        // is an error at that token, not an accept that drops the rest.
+        // Terminal 0 is `$`; a hand-built `$` token, followed by more input
+        // or last, is an error at that token, not an accept that drops
+        // the rest.
         let t = table(EXPR);
         let num = t.terminal_by_name("NUM").unwrap();
         let toks = vec![
@@ -466,8 +469,10 @@ mod tests {
         let (tree, errors) = Parser::new(&t).parse_with_recovery(toks.clone(), &[num], 8);
         assert!(tree.is_none());
         assert_eq!(errors[0], err);
-        let (_, errors) = Parser::new(&t).parse_with_error_token(toks, num, 8);
+        let (_, errors) = Parser::new(&t).parse_with_error_token(toks.clone(), num, 8);
         assert_eq!(errors[0], err);
+        let trailing = toks[..2].to_vec();
+        assert_eq!(Parser::new(&t).parse(trailing).unwrap_err(), err);
     }
 
     #[test]

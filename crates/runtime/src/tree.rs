@@ -399,6 +399,19 @@ mod tests {
         assert_eq!(tree.to_sexpr(&t), "(s  )");
     }
 
+    #[test]
+    fn a_lone_leaf_is_its_own_sexpr() {
+        let mut tree = ParseTree::with_capacity(1);
+        tree.push_leaf(Token::new(1, "a", 0));
+        tree.set_root(0);
+        assert_eq!(tree.to_sexpr(&table("s : \"a\" ;")), "a");
+        assert_eq!(
+            (tree.leaf_count(), tree.node_count(), tree.height()),
+            (1, 0, 0)
+        );
+        assert!(tree.reverse_rightmost_derivation().is_empty());
+    }
+
     /// A million-level tree — the shape `s : "a" s | ;` gives a
     /// million-token document — built by the driver, walked and rendered
     /// on a thread whose whole stack is 256 KiB.

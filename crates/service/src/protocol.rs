@@ -627,7 +627,7 @@ pub fn response_to_line(response: &Response) -> String {
 /// [`response_to_line`], consuming it: each parse verdict's tree moves
 /// into the encoded value instead of being copied, so a reply holds its
 /// trees twice (value and line) at its peak, not three times.
-pub fn response_into_line(response: Response) -> String {
+pub(crate) fn response_into_line(response: Response) -> String {
     let Response::Parse(mut p) = response else {
         return response_to_line(&response);
     };

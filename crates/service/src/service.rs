@@ -1435,9 +1435,6 @@ impl Inner {
             }
         }
         let mut docs = Vec::with_capacity(documents.len());
-        // One token buffer for the batch: each document's tokens borrow
-        // its words, and the parser drains them into the document's tree.
-        let mut tokens = Vec::new();
         for doc in documents {
             // The batch-boundary failpoint: checked between documents, so
             // a fault mid-batch aborts the remainder (the client sees one
@@ -1452,7 +1449,7 @@ impl Inner {
                 }
                 _ => {}
             }
-            docs.push(self.parse_document(table, &names, doc, recover, &sync_ids, &mut tokens));
+            docs.push(self.parse_document(table, &names, doc, recover, &sync_ids));
         }
         if let (Some(trace), Some(t0)) = (trace, parse_started) {
             trace.add_stage(STAGE_PARSE, t0.elapsed().as_nanos() as u64);
@@ -1471,18 +1468,16 @@ impl Inner {
     }
 
     /// Parses one document (whitespace-separated terminal names, looked
-    /// up in `names`; token offsets are token indices) to a verdict,
-    /// tokenising into the batch's `tokens` buffer. Never fails the batch:
-    /// oversized documents and unknown terminals degrade to per-document
-    /// error verdicts.
-    fn parse_document<'d>(
+    /// up in `names`; token offsets are token indices) to a verdict.
+    /// Never fails the batch: oversized documents and unknown terminals
+    /// degrade to per-document error verdicts.
+    fn parse_document(
         &self,
         table: &lalr_tables::ParseTable,
         names: &HashMap<&str, u32>,
-        doc: &'d str,
+        doc: &str,
         recover: bool,
         sync: &[u32],
-        tokens: &mut Vec<Token<'d>>,
     ) -> DocVerdict {
         let limit = self.config.max_document_bytes;
         if doc.len() > limit {
@@ -1496,7 +1491,7 @@ impl Inner {
                 expected: Vec::new(),
             });
         }
-        tokens.clear();
+        let mut tokens = Vec::new();
         for (i, word) in doc.split_whitespace().enumerate() {
             match names.get(word) {
                 Some(&t) => tokens.push(Token::new(t, word, i)),
@@ -1517,7 +1512,7 @@ impl Inner {
             expected: e.expected.clone(),
         };
         if recover {
-            let (tree, errors) = Parser::new(table).parse_with_recovery(tokens.drain(..), sync, 8);
+            let (tree, errors) = Parser::new(table).parse_with_recovery(tokens, sync, 8);
             let (leaves, nodes, sexpr) = match &tree {
                 Some(t) => (
                     t.leaf_count() as u64,
@@ -1535,7 +1530,7 @@ impl Inner {
                 error_count: errors.len() as u64,
             }
         } else {
-            match Parser::new(table).parse(tokens.drain(..)) {
+            match Parser::new(table).parse(tokens) {
                 Ok(tree) => DocVerdict {
                     accepted: true,
                     leaves: tree.leaf_count() as u64,
