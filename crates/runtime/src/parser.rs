@@ -220,9 +220,8 @@ impl<'t, S: ActionSource> Parser<'t, S> {
     /// Any token whose terminal is the end marker `$` (index 0) is an
     /// error at that token, the last one included: no state shifts `$`,
     /// and the end of input is where the tokens run out. A document that
-    /// needs `2^31` or more
-    /// leaves or reductions is refused at the first one that does not fit
-    /// a tree's `u32` ids.
+    /// needs `2^31` or more leaves or reductions is refused at the first
+    /// one that does not fit a tree's `u32` ids.
     pub fn parse<'a, I>(&self, tokens: I) -> Result<ParseTree<'a>, ParseError>
     where
         I: IntoIterator<Item = Token<'a>>,
