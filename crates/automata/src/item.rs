@@ -190,58 +190,29 @@ impl ItemSet {
 
     /// The ε-closure of this set: adds `B → · γ` for every `B` after a dot,
     /// transitively.
-    pub fn closure(&self, grammar: &Grammar) -> ItemSet {
-        let mut scratch = ClosureScratch::default();
-        self.closure_with(grammar, &mut scratch);
-        ItemSet {
-            items: std::mem::take(&mut scratch.closed),
-        }
-    }
-
-    /// Computes the ε-closure into reusable scratch buffers, returning the
-    /// closed items sorted and deduplicated.
     ///
-    /// The allocation-free workhorse behind [`ItemSet::closure`]: callers
-    /// that close many sets in a row (the LR(0) worklist) keep one
-    /// [`ClosureScratch`] and avoid reallocating the closure buffers per
-    /// state.
-    pub fn closure_with<'a>(
-        &self,
-        grammar: &Grammar,
-        scratch: &'a mut ClosureScratch,
-    ) -> &'a [Item] {
-        scratch.closed.clear();
-        scratch.closed.extend_from_slice(&self.items);
-        scratch.work.clear();
-        scratch.work.extend_from_slice(&self.items);
-        scratch.added_nt.clear();
-        scratch.added_nt.resize(grammar.nonterminal_count(), false);
-        while let Some(item) = scratch.work.pop() {
+    /// This is the item-by-item worklist, for closing one set on demand;
+    /// `Lr0Automaton::build` closes every state from precomputed
+    /// left-corner tables instead.
+    pub fn closure(&self, grammar: &Grammar) -> ItemSet {
+        let mut closed = self.items.clone();
+        let mut work = self.items.clone();
+        let mut added_nt = vec![false; grammar.nonterminal_count()];
+        while let Some(item) = work.pop() {
             let Some(Symbol::NonTerminal(b)) = item.next_symbol(grammar) else {
                 continue;
             };
-            if scratch.added_nt[b.index()] {
+            if std::mem::replace(&mut added_nt[b.index()], true) {
                 continue;
             }
-            scratch.added_nt[b.index()] = true;
             for &pid in grammar.productions_of(b) {
                 let fresh = Item::start_of(pid);
-                scratch.closed.push(fresh);
-                scratch.work.push(fresh);
+                closed.push(fresh);
+                work.push(fresh);
             }
         }
-        scratch.closed.sort_unstable();
-        scratch.closed.dedup();
-        &scratch.closed
+        ItemSet::new(closed)
     }
-}
-
-/// Reusable buffers for repeated [`ItemSet::closure_with`] calls.
-#[derive(Debug, Default)]
-pub struct ClosureScratch {
-    closed: Vec<Item>,
-    work: Vec<Item>,
-    added_nt: Vec<bool>,
 }
 
 impl FromIterator<Item> for ItemSet {

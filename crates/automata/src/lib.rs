@@ -34,7 +34,7 @@ mod lr1;
 mod merge;
 mod reduction;
 
-pub use item::{item_set_clone_count, ClosureScratch, Item, ItemSet};
+pub use item::{item_set_clone_count, Item, ItemSet};
 pub use lr0::{Lr0Automaton, NtTransId, StateId};
 pub use lr1::{Lr1Automaton, Lr1Closure, Lr1State};
 pub use merge::{merge_lr1, MergedLalr};

@@ -4,9 +4,9 @@ use std::hash::{Hash, Hasher};
 
 use lalr_grammar::{Grammar, NonTerminal, ProdId, Symbol, Terminal};
 use lalr_obs::Recorder;
-use rustc_hash::{FxHashMap, FxHasher};
+use rustc_hash::FxHasher;
 
-use crate::item::{ClosureScratch, Item, ItemSet};
+use crate::item::{Item, ItemSet};
 
 /// Identifier of an LR(0) state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -99,15 +99,256 @@ pub struct Lr0Automaton {
     nt_offsets: Vec<u32>,
 }
 
+/// Dense symbol code of an item with nothing after its dot.
+const FINAL: u32 = u32::MAX;
+/// An empty slot of the kernel table.
+const NO_STATE: u32 = u32::MAX;
+
+/// The per-grammar tables the LR(0) build closes states with. All of them
+/// are linear in the grammar: one entry per item, at most one left-corner
+/// edge and one production mask per production, nothing keyed by pairs of
+/// symbols.
+struct ClosureTables {
+    /// Item `(p, dot)` is `item_off[p] + dot` in `next`.
+    item_off: Vec<u32>,
+    /// The dense code of each item's next symbol — terminal `t` is `t`,
+    /// nonterminal `n` is `terminal_count + n` — or [`FINAL`].
+    next: Vec<u32>,
+    terminal_count: u32,
+    /// CSR left-corner graph: the distinct `B` with a production
+    /// `A → B η` are `corners[corner_off[A] .. corner_off[A + 1]]`.
+    corner_off: Vec<u32>,
+    corners: Vec<u32>,
+    /// CSR production masks: `A`'s productions, as `(word, bits)` pairs of
+    /// a production bitset, are `masks[mask_off[A] .. mask_off[A + 1]]`
+    /// (one pair per word, so usually one or two per nonterminal).
+    mask_off: Vec<u32>,
+    masks: Vec<(u32, u64)>,
+}
+
+impl ClosureTables {
+    fn new(grammar: &Grammar) -> ClosureTables {
+        let terminal_count = grammar.terminal_count() as u32;
+        let dense = |sym: Symbol| match sym {
+            Symbol::Terminal(t) => t.index() as u32,
+            Symbol::NonTerminal(n) => terminal_count + n.index() as u32,
+        };
+        let mut item_off = Vec::with_capacity(grammar.production_count());
+        let mut next = Vec::new();
+        for p in grammar.productions() {
+            item_off.push(next.len() as u32);
+            next.extend(p.rhs().iter().map(|&sym| dense(sym)));
+            next.push(FINAL);
+        }
+        let n_nts = grammar.nonterminal_count();
+        let (mut corner_off, mut mask_off) = (vec![0u32], vec![0u32]);
+        let (mut corners, mut masks): (Vec<u32>, Vec<(u32, u64)>) = (Vec::new(), Vec::new());
+        // `last[B] == A + 1` marks `A → B` as already listed.
+        let mut last = vec![0u32; n_nts];
+        for a in grammar.nonterminals() {
+            let first_mask = masks.len();
+            for &pid in grammar.productions_of(a) {
+                if let Some(&Symbol::NonTerminal(b)) = grammar.production(pid).rhs().first() {
+                    if last[b.index()] != a.index() as u32 + 1 {
+                        last[b.index()] = a.index() as u32 + 1;
+                        corners.push(b.index() as u32);
+                    }
+                }
+                // `productions_of` lists ids in ascending order, so each
+                // word's bits arrive together.
+                let (word, bit) = ((pid.index() / 64) as u32, 1u64 << (pid.index() % 64));
+                let own = masks.len() > first_mask;
+                match masks.last_mut() {
+                    Some((w, bits)) if own && *w == word => *bits |= bit,
+                    _ => masks.push((word, bit)),
+                }
+            }
+            corner_off.push(corners.len() as u32);
+            mask_off.push(masks.len() as u32);
+        }
+        ClosureTables {
+            item_off,
+            next,
+            terminal_count,
+            corner_off,
+            corners,
+            mask_off,
+            masks,
+        }
+    }
+
+    /// The dense code of `item`'s next symbol, or [`FINAL`].
+    #[inline]
+    fn next(&self, item: Item) -> u32 {
+        self.next[self.item_off[item.production().index()] as usize + item.dot()]
+    }
+
+    /// The nonterminal a dense code names, if it names one.
+    #[inline]
+    fn nonterminal(&self, code: u32) -> Option<usize> {
+        (code != FINAL && code >= self.terminal_count)
+            .then(|| (code - self.terminal_count) as usize)
+    }
+
+    fn symbol(&self, code: u32) -> Symbol {
+        match self.nonterminal(code) {
+            Some(n) => Symbol::NonTerminal(NonTerminal::new(n)),
+            None => Symbol::Terminal(Terminal::new(code as usize)),
+        }
+    }
+}
+
+/// A bitset that is all zero between uses and is read back in index
+/// order. A use costs the words it touched, never the whole set.
+struct TouchedBits {
+    words: Vec<u64>,
+    /// The words the current use set.
+    touched: Vec<u32>,
+}
+
+impl TouchedBits {
+    fn new(bits: usize) -> TouchedBits {
+        TouchedBits {
+            words: vec![0; bits.div_ceil(64)],
+            touched: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn insert_bits(&mut self, word: u32, bits: u64) {
+        let w = &mut self.words[word as usize];
+        if *w == 0 {
+            self.touched.push(word);
+        }
+        *w |= bits;
+    }
+
+    #[inline]
+    fn insert(&mut self, index: u32) {
+        self.insert_bits(index / 64, 1 << (index % 64));
+    }
+
+    /// Calls `f` on every index in the set, in ascending order, and
+    /// empties the set.
+    #[inline]
+    fn drain(&mut self, mut f: impl FnMut(u32)) {
+        self.touched.sort_unstable();
+        for &w in &self.touched {
+            let mut bits = std::mem::take(&mut self.words[w as usize]);
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        self.touched.clear();
+    }
+}
+
+/// Reused per-state scratch for [`Closer::close`]. Only what a state
+/// touched is cleared after it, so closing a state costs its closure,
+/// never the grammar's size.
+struct Closer {
+    /// `stamp[A] == now` marks `A` as reached in the current state.
+    stamp: Vec<u32>,
+    now: u32,
+    reached: Vec<u32>,
+    /// The productions of the current closure.
+    prods: TouchedBits,
+}
+
+impl Closer {
+    fn new(grammar: &Grammar) -> Closer {
+        Closer {
+            stamp: vec![0; grammar.nonterminal_count()],
+            now: 0,
+            reached: Vec::new(),
+            prods: TouchedBits::new(grammar.production_count()),
+        }
+    }
+
+    #[inline]
+    fn reach(&mut self, nt: usize) {
+        if self.stamp[nt] != self.now {
+            self.stamp[nt] = self.now;
+            self.reached.push(nt as u32);
+        }
+    }
+
+    /// Calls `visit` on every item of the closure of `kernel` (strictly
+    /// ascending items), in ascending item order.
+    ///
+    /// The closure adds `B → · γ` for every nonterminal `B` reachable over
+    /// left corners from a nonterminal after a kernel item's dot. Their
+    /// productions are set in a bitset and read back in id order, merged
+    /// with the kernel, so the closure comes out sorted without a sort.
+    fn close(&mut self, tables: &ClosureTables, kernel: &[Item], mut visit: impl FnMut(Item)) {
+        self.now = self.now.wrapping_add(1);
+        if self.now == 0 {
+            self.stamp.fill(0);
+            self.now = 1;
+        }
+        for &item in kernel {
+            if let Some(b) = tables.nonterminal(tables.next(item)) {
+                self.reach(b);
+            }
+        }
+        let mut i = 0;
+        while let Some(&a) = self.reached.get(i) {
+            i += 1;
+            let a = a as usize;
+            let (lo, hi) = (tables.corner_off[a], tables.corner_off[a + 1]);
+            for k in lo..hi {
+                self.reach(tables.corners[k as usize] as usize);
+            }
+        }
+        for &a in &self.reached {
+            let a = a as usize;
+            let (lo, hi) = (tables.mask_off[a] as usize, tables.mask_off[a + 1] as usize);
+            for &(word, bits) in &tables.masks[lo..hi] {
+                self.prods.insert_bits(word, bits);
+            }
+        }
+        self.reached.clear();
+
+        let mut k = 0;
+        self.prods.drain(|p| {
+            let item = Item::start_of(ProdId::new(p as usize));
+            while let Some(&ki) = kernel.get(k).filter(|&&ki| ki < item) {
+                visit(ki);
+                k += 1;
+            }
+            // A kernel item with its dot at the left is also a closure
+            // item; it is visited once.
+            if kernel.get(k) == Some(&item) {
+                k += 1;
+            }
+            visit(item);
+        });
+        for &ki in &kernel[k..] {
+            visit(ki);
+        }
+    }
+}
+
+/// A kernel's hash for the interning table.
+fn kernel_hash(items: &[Item]) -> u64 {
+    let mut hasher = FxHasher::default();
+    items.hash(&mut hasher);
+    hasher.finish()
+}
+
 impl Lr0Automaton {
     /// Builds the canonical collection by the standard worklist algorithm.
     ///
-    /// Kernels are interned without cloning: the table maps the FxHash of a
-    /// kernel's items to candidate state indices, and the items themselves
-    /// live only in `states` (verified by the item-set clone counter).
-    /// Goto sets are bucketed by next symbol through a dense symbol-slot
-    /// scratch array instead of a hash map, preserving the first-seen
-    /// symbol order that fixes the state numbering.
+    /// Each state is closed by left-corner reachability over tables built
+    /// once per grammar and linear in it. The closure comes out
+    /// item-sorted, and a counting sort by next symbol cuts it into goto
+    /// kernels, numbered in the first-seen symbol order that fixes the
+    /// state numbering. Kernels are interned without cloning: an
+    /// open-addressing table maps a kernel's FxHash to its state, the
+    /// items live only in `states`, and a kernel is copied out of the
+    /// scratch buffer only when it is new (verified by the item-set clone
+    /// counter).
     pub fn build(grammar: &Grammar) -> Lr0Automaton {
         Lr0Automaton::build_recorded(grammar, &lalr_obs::NULL)
     }
@@ -117,110 +358,142 @@ impl Lr0Automaton {
     /// reports the interned state/item/transition counts.
     pub fn build_recorded(grammar: &Grammar, rec: &dyn Recorder) -> Lr0Automaton {
         let _span = lalr_obs::span(rec, "lr0.build");
+        let tables = ClosureTables::new(grammar);
+        let mut closer = Closer::new(grammar);
         let mut states: Vec<State> = Vec::new();
-        // Kernel hash → states whose kernel may match (collisions resolved
-        // by comparing item slices against `states`, never by cloning).
-        let mut interned: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+        // Open addressing over state ids, probed from the top bits of the
+        // kernel hash; `hashes[s]` is state `s`'s kernel hash. Collisions
+        // are resolved by comparing item slices against `states`, so a
+        // kernel is copied out of the scratch buffer only when it is new.
+        let mut slots: Vec<u32> = vec![NO_STATE; 64];
+        let mut hashes: Vec<u64> = Vec::new();
         let mut work: Vec<StateId> = Vec::new();
-        // Spent kernel buffers from intern hits, recycled as goto buckets.
-        let mut pool: Vec<Vec<Item>> = Vec::new();
 
-        let mut intern = |items: Vec<Item>,
+        let mut intern = |items: &[Item],
                           accessing: Option<Symbol>,
                           states: &mut Vec<State>,
-                          work: &mut Vec<StateId>,
-                          pool: &mut Vec<Vec<Item>>|
+                          work: &mut Vec<StateId>|
          -> StateId {
-            let mut hasher = FxHasher::default();
-            items.hash(&mut hasher);
-            let candidates = interned.entry(hasher.finish()).or_default();
-            for &c in candidates.iter() {
-                if states[c as usize].kernel.items() == items.as_slice() {
-                    let mut spent = items;
-                    spent.clear();
-                    pool.push(spent);
-                    return StateId(c);
+            let hash = kernel_hash(items);
+            let shift = 64 - slots.len().trailing_zeros();
+            let mask = slots.len() - 1;
+            let mut i = (hash >> shift) as usize;
+            loop {
+                let s = slots[i];
+                if s == NO_STATE {
+                    break;
                 }
+                if hashes[s as usize] == hash && states[s as usize].kernel.items() == items {
+                    return StateId(s);
+                }
+                i = (i + 1) & mask;
             }
             let id = StateId::new(states.len());
-            candidates.push(id.0);
+            slots[i] = id.0;
+            hashes.push(hash);
             states.push(State {
-                kernel: ItemSet::from_sorted(items),
+                kernel: ItemSet::from_sorted(items.to_vec()),
                 transitions: Vec::new(),
                 reductions: Vec::new(),
                 accessing_symbol: accessing,
             });
             work.push(id);
+            // Keep the load at most one half: double and reinsert.
+            if 2 * states.len() > slots.len() {
+                let len = 2 * slots.len();
+                let shift = 64 - len.trailing_zeros();
+                slots.clear();
+                slots.resize(len, NO_STATE);
+                for (s, &h) in hashes.iter().enumerate() {
+                    let mut i = (h >> shift) as usize;
+                    while slots[i] != NO_STATE {
+                        i = (i + 1) & (len - 1);
+                    }
+                    slots[i] = s as u32;
+                }
+            }
             id
         };
 
         intern(
-            vec![Item::start_of(ProdId::START)],
+            &[Item::start_of(ProdId::START)],
             None,
             &mut states,
             &mut work,
-            &mut pool,
         );
 
-        // Dense per-symbol bucket slots: `sym_slot[dense(sym)]` is the index
-        // into `order`/`buckets` for this state, or `NO_SLOT`. Reset between
-        // states by walking `order` — O(symbols seen), not O(alphabet).
+        // Goto kernels are bucketed by next symbol with a counting sort
+        // into one flat buffer. `sym_slot[code]` is the symbol's bucket
+        // for this state, or `NO_SLOT`; buckets are numbered in first-seen
+        // order, the order that fixes the state numbering. Reset as the
+        // transitions are read back — O(symbols seen), not O(alphabet).
         const NO_SLOT: u32 = u32::MAX;
-        let n_terms = grammar.terminal_count();
-        let dense = |sym: Symbol| -> usize {
-            match sym {
-                Symbol::Terminal(t) => t.index(),
-                Symbol::NonTerminal(n) => n_terms + n.index(),
-            }
-        };
-        let mut sym_slot: Vec<u32> = vec![NO_SLOT; n_terms + grammar.nonterminal_count()];
-        let mut order: Vec<Symbol> = Vec::new();
-        let mut buckets: Vec<Vec<Item>> = Vec::new();
-        let mut scratch = ClosureScratch::default();
+        let mut sym_slot: Vec<u32> =
+            vec![NO_SLOT; grammar.terminal_count() + grammar.nonterminal_count()];
+        let mut order: Vec<u32> = Vec::new();
+        // Bucket starts (then cursors), one past `order`.
+        let mut starts: Vec<u32> = Vec::new();
+        // The closure's non-final items, advanced, with their buckets.
+        let mut advanced: Vec<(Item, u32)> = Vec::new();
+        let mut kernels: Vec<Item> = Vec::new();
+        // Each bucket's target state, then the transitions in code order.
+        let mut targets: Vec<StateId> = Vec::new();
+        let mut codes = TouchedBits::new(sym_slot.len());
 
         while let Some(sid) = work.pop() {
-            let closure = states[sid.index()]
-                .kernel
-                .closure_with(grammar, &mut scratch);
             let mut reductions: Vec<ProdId> = Vec::new();
-            for &item in closure {
-                match item.next_symbol(grammar) {
-                    None => reductions.push(item.production()),
-                    Some(sym) => {
-                        let d = dense(sym);
-                        let slot = if sym_slot[d] == NO_SLOT {
-                            let slot = order.len();
-                            sym_slot[d] = slot as u32;
-                            order.push(sym);
-                            if buckets.len() == slot {
-                                buckets.push(pool.pop().unwrap_or_default());
-                            }
-                            slot
-                        } else {
-                            sym_slot[d] as usize
-                        };
-                        buckets[slot].push(item.advanced());
-                    }
+            // The closure is item-sorted: final items arrive in production
+            // order, and advancing keeps each goto kernel sorted.
+            closer.close(&tables, states[sid.index()].kernel.items(), |item| {
+                let code = tables.next(item);
+                if code == FINAL {
+                    reductions.push(item.production());
+                    return;
                 }
-            }
-            reductions.sort_unstable();
-            reductions.dedup();
+                let slot = &mut sym_slot[code as usize];
+                if *slot == NO_SLOT {
+                    *slot = order.len() as u32;
+                    order.push(code);
+                    starts.push(0);
+                }
+                starts[*slot as usize] += 1;
+                advanced.push((item.advanced(), *slot));
+            });
             states[sid.index()].reductions = reductions;
 
-            let mut transitions: Vec<(Symbol, StateId)> = Vec::with_capacity(order.len());
-            for (slot, &sym) in order.iter().enumerate() {
-                // The closure is item-sorted and advancing preserves that
-                // order within a bucket, so each goto kernel is born sorted.
-                let items = std::mem::replace(&mut buckets[slot], pool.pop().unwrap_or_default());
-                let target = intern(items, Some(sym), &mut states, &mut work, &mut pool);
-                transitions.push((sym, target));
+            let mut total = 0;
+            for start in &mut starts {
+                let count = *start;
+                *start = total;
+                total += count;
             }
-            transitions.sort_unstable_by_key(|&(sym, _)| sym);
+            starts.push(total);
+            kernels.resize(advanced.len(), Item::start_of(ProdId::START));
+            for &(item, slot) in &advanced {
+                let cursor = &mut starts[slot as usize];
+                kernels[*cursor as usize] = item;
+                *cursor += 1;
+            }
+            // Each cursor ended on the next bucket's start.
+            let mut lo = 0;
+            for (slot, &code) in order.iter().enumerate() {
+                let hi = starts[slot] as usize;
+                let sym = tables.symbol(code);
+                targets.push(intern(&kernels[lo..hi], Some(sym), &mut states, &mut work));
+                codes.insert(code);
+                lo = hi;
+            }
+            // Dense codes order symbols as `Symbol` does.
+            let mut transitions = Vec::with_capacity(order.len());
+            codes.drain(|code| {
+                let slot = std::mem::replace(&mut sym_slot[code as usize], NO_SLOT);
+                transitions.push((tables.symbol(code), targets[slot as usize]));
+            });
             states[sid.index()].transitions = transitions;
-            for &sym in &order {
-                sym_slot[dense(sym)] = NO_SLOT;
-            }
             order.clear();
+            starts.clear();
+            advanced.clear();
+            targets.clear();
         }
 
         // Enumerate nonterminal transitions in (state, nt) order — the

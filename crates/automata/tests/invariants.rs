@@ -293,6 +293,216 @@ fn lr1_build_matches_worklist_closure_on_random_grammars() {
     }
 }
 
+/// The canonical LR(0) collection as `Lr0Automaton::build` made it before
+/// its left-corner closure tables, kept as the reference they are checked
+/// against: every state is closed item by item by a worklist and sorted,
+/// goto kernels are bucketed by next symbol in first-seen order, interned
+/// by kernel, and explored from a LIFO worklist — the construction order
+/// the build keeps, so state numbers must agree.
+struct ReferenceLr0 {
+    kernels: Vec<Vec<Item>>,
+    transitions: Vec<Vec<(Symbol, StateId)>>,
+    reductions: Vec<Vec<ProdId>>,
+    accessing: Vec<Option<Symbol>>,
+}
+
+fn reference_lr0_closure(grammar: &Grammar, kernel: &[Item]) -> Vec<Item> {
+    let mut closed = kernel.to_vec();
+    let mut work = kernel.to_vec();
+    let mut added = vec![false; grammar.nonterminal_count()];
+    while let Some(item) = work.pop() {
+        let Some(Symbol::NonTerminal(b)) = item.next_symbol(grammar) else {
+            continue;
+        };
+        if added[b.index()] {
+            continue;
+        }
+        added[b.index()] = true;
+        for &pid in grammar.productions_of(b) {
+            closed.push(Item::start_of(pid));
+            work.push(Item::start_of(pid));
+        }
+    }
+    closed.sort_unstable();
+    closed.dedup();
+    closed
+}
+
+fn reference_lr0(grammar: &Grammar) -> ReferenceLr0 {
+    let start = vec![Item::start_of(ProdId::START)];
+    let mut ids: FxHashMap<Vec<Item>, StateId> = FxHashMap::default();
+    ids.insert(start.clone(), StateId::START);
+    let mut lr0 = ReferenceLr0 {
+        kernels: vec![start],
+        transitions: vec![Vec::new()],
+        reductions: vec![Vec::new()],
+        accessing: vec![None],
+    };
+    let mut work = vec![StateId::START];
+    while let Some(sid) = work.pop() {
+        let closed = reference_lr0_closure(grammar, &lr0.kernels[sid.index()]);
+        let mut order: Vec<Symbol> = Vec::new();
+        let mut buckets: FxHashMap<Symbol, Vec<Item>> = FxHashMap::default();
+        for item in closed {
+            match item.next_symbol(grammar) {
+                None => lr0.reductions[sid.index()].push(item.production()),
+                Some(sym) => buckets
+                    .entry(sym)
+                    .or_insert_with(|| {
+                        order.push(sym);
+                        Vec::new()
+                    })
+                    .push(item.advanced()),
+            }
+        }
+        let mut ts = Vec::new();
+        for sym in order {
+            let kernel = buckets.remove(&sym).expect("bucket exists");
+            let next = StateId::new(lr0.kernels.len());
+            let target = *ids.entry(kernel.clone()).or_insert_with(|| {
+                lr0.kernels.push(kernel);
+                lr0.transitions.push(Vec::new());
+                lr0.reductions.push(Vec::new());
+                lr0.accessing.push(Some(sym));
+                work.push(next);
+                next
+            });
+            ts.push((sym, target));
+        }
+        ts.sort_unstable_by_key(|&(sym, _)| sym);
+        lr0.transitions[sid.index()] = ts;
+    }
+    lr0
+}
+
+fn assert_lr0_matches_reference(name: &str, g: &Grammar) {
+    let reference = reference_lr0(g);
+    let lr0 = Lr0Automaton::build(g);
+    assert_eq!(
+        lr0.state_count(),
+        reference.kernels.len(),
+        "{name}: state count"
+    );
+    let mut nt_transitions = Vec::new();
+    for s in lr0.states() {
+        let i = s.index();
+        assert_eq!(
+            lr0.kernel(s).items(),
+            reference.kernels[i].as_slice(),
+            "{name}: kernel of state {i}"
+        );
+        assert_eq!(
+            lr0.transitions(s),
+            reference.transitions[i].as_slice(),
+            "{name}: transitions of state {i}"
+        );
+        assert_eq!(
+            lr0.reductions(s),
+            reference.reductions[i].as_slice(),
+            "{name}: reductions of state {i}"
+        );
+        assert_eq!(
+            lr0.accessing_symbol(s),
+            reference.accessing[i],
+            "{name}: accessing symbol of state {i}"
+        );
+        for &(sym, to) in &reference.transitions[i] {
+            if let Symbol::NonTerminal(nt) = sym {
+                nt_transitions.push((s, nt, to));
+            }
+        }
+    }
+    let got: Vec<_> = lr0
+        .nt_transitions()
+        .iter()
+        .map(|t| (t.from, t.nt, t.to))
+        .collect();
+    assert_eq!(got, nt_transitions, "{name}: nonterminal transitions");
+}
+
+#[test]
+fn lr0_build_matches_worklist_closure_on_corpus_and_families() {
+    for (name, g) in grammars_under_test() {
+        assert_lr0_matches_reference(&name, &g);
+    }
+    let families = [
+        ("expr_ladder(1)", expr_ladder(1)),
+        ("expr_ladder(80)", expr_ladder(80)),
+        ("chain(40)", chain(40)),
+        ("nullable_blocks(8)", nullable_blocks(8)),
+        ("nested_lists(6)", nested_lists(6)),
+        ("wide_forest(100)", wide_forest(100)),
+    ];
+    for (name, g) in &families {
+        assert_lr0_matches_reference(name, g);
+    }
+}
+
+/// Whether some nonterminal derives itself as its own leftmost symbol.
+fn has_left_corner_cycle(g: &Grammar) -> bool {
+    g.nonterminals().any(|a| {
+        let mut seen = vec![false; g.nonterminal_count()];
+        let mut work = vec![a];
+        while let Some(x) = work.pop() {
+            for &pid in g.productions_of(x) {
+                if let Some(&Symbol::NonTerminal(b)) = g.production(pid).rhs().first() {
+                    if b == a {
+                        return true;
+                    }
+                    if !std::mem::replace(&mut seen[b.index()], true) {
+                        work.push(b);
+                    }
+                }
+            }
+        }
+        false
+    })
+}
+
+/// 600 seeded random grammars, ε-productions from none to half of them.
+/// The configurations with more nonterminals than terminals make long
+/// left-corner chains and left-corner cycles; the 300-terminal one is
+/// the benchmark's shape.
+#[test]
+fn lr0_build_matches_worklist_closure_on_random_grammars() {
+    let (mut checked, mut cyclic) = (0, 0);
+    for epsilon_prob in [0.0, 0.1, 0.25, 0.5] {
+        let configs = [
+            RandomConfig {
+                epsilon_prob,
+                ..RandomConfig::default()
+            },
+            RandomConfig {
+                nonterminals: 12,
+                terminals: 4,
+                productions: 30,
+                max_rhs: 3,
+                epsilon_prob,
+            },
+            RandomConfig {
+                nonterminals: 10,
+                terminals: 300,
+                productions: 150,
+                max_rhs: 4,
+                epsilon_prob,
+            },
+        ];
+        for config in configs {
+            for seed in 0..50 {
+                let g = random(seed, config);
+                assert_lr0_matches_reference(&format!("random({seed}, {config:?})"), &g);
+                checked += 1;
+                cyclic += usize::from(has_left_corner_cycle(&g));
+            }
+        }
+    }
+    assert_eq!(checked, 600);
+    assert!(
+        cyclic >= 100,
+        "only {cyclic} grammars with a left-corner cycle"
+    );
+}
+
 /// The no-clone interning guarantee of the dense-index overhaul: building
 /// the LR(0) machine must never clone an `ItemSet` — kernels are stored
 /// once in the state table and interned by hash + slice comparison.

@@ -7,35 +7,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lalr_automata::Lr0Automaton;
 use lalr_core::LalrAnalysis;
-use lalr_corpus::synthetic::{self, RandomConfig};
-use lalr_grammar::{parse_grammar, Grammar};
 use lalr_tables::{build_table, resolutions, CompressedTable, TableOptions};
 
-/// A seeded random grammar as the benchmark sends it: its `Display`
-/// text, re-parsed.
-fn random(seed: u64, nonterminals: usize, productions: usize) -> Grammar {
-    let config = RandomConfig {
-        nonterminals,
-        terminals: 300,
-        productions,
-        max_rhs: 4,
-        epsilon_prob: 0.1,
-    };
-    parse_grammar(&synthetic::random(seed, config).to_string()).expect("Display re-parses")
-}
-
 fn bench_table_build(c: &mut Criterion) {
-    let grammars = [
-        (
-            "c_subset",
-            lalr_corpus::by_name("c_subset")
-                .expect("corpus entry exists")
-                .grammar(),
-        ),
-        ("wide_forest_100", synthetic::wide_forest(100)),
-        ("random9_10nt_150p", random(9, 10, 150)),
-        ("random8_16nt_200p", random(8, 16, 200)),
-    ];
+    let grammars = lalr_bench::layer_grammars();
     let options = TableOptions::default();
 
     let mut group = c.benchmark_group("table_build");

@@ -23,6 +23,14 @@ fn relation_build_allocations_do_not_grow_with_the_grammar() {
         .map(|e| (e.name.to_string(), e.grammar()))
         .collect();
     grammars.push(("expr_ladder(80)".to_string(), synthetic::expr_ladder(80)));
+    grammars.push(("wide_forest(100)".to_string(), synthetic::wide_forest(100)));
+    // The benchmark's two conflict-heavy random grammars.
+    for (seed, nonterminals, productions) in [(9, 10, 150), (8, 16, 200)] {
+        grammars.push((
+            format!("random({seed};{nonterminals}nt,300t,{productions}p)"),
+            lalr_bench::benchmark_random(seed, nonterminals, productions),
+        ));
+    }
     for (name, grammar) in &grammars {
         let lr0 = Lr0Automaton::build(grammar);
         let (relations, stats) = measure(|| Relations::build(grammar, &lr0));

@@ -12,8 +12,7 @@
 use lalr_automata::Lr0Automaton;
 use lalr_bench::alloc_counter::measure;
 use lalr_core::LalrAnalysis;
-use lalr_corpus::synthetic::{self, RandomConfig};
-use lalr_grammar::{parse_grammar, Grammar};
+use lalr_grammar::Grammar;
 use lalr_tables::{build_table, TableOptions};
 
 /// Bytes `build_table` may allocate beyond its dense ACTION/GOTO arrays.
@@ -28,17 +27,9 @@ fn table_build_allocates_the_dense_arrays_and_little_else() {
     // The benchmark's two conflict-heavy random grammars, as it sends
     // them: their `Display` text, re-parsed.
     for (seed, nonterminals, productions) in [(9, 10, 150), (8, 16, 200)] {
-        let config = RandomConfig {
-            nonterminals,
-            terminals: 300,
-            productions,
-            max_rhs: 4,
-            epsilon_prob: 0.1,
-        };
-        let text = synthetic::random(seed, config).to_string();
         grammars.push((
             format!("random({seed};{nonterminals}nt,300t,{productions}p)"),
-            parse_grammar(&text).expect("Display re-parses"),
+            lalr_bench::benchmark_random(seed, nonterminals, productions),
         ));
     }
     for (name, grammar) in &grammars {

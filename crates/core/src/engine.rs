@@ -2,7 +2,7 @@
 
 use lalr_automata::{Lr0Automaton, NtTransId};
 use lalr_bitset::{BitMatrix, BitSet};
-use lalr_digraph::{digraph_counting, DigraphStats, Graph};
+use lalr_digraph::{digraph_counting, DigraphStats, Graph, TraversalCounts};
 use lalr_grammar::Grammar;
 use lalr_obs::Recorder;
 
@@ -49,10 +49,9 @@ impl LalrAnalysis {
     /// [`LalrAnalysis::compute`] under an observer.
     ///
     /// Phases are bracketed by spans (`relations.build`,
-    /// `digraph.reads`, `digraph.includes`, `la.union`,
-    /// `relations.stats`) and, when the recorder is enabled, the
-    /// structural pipeline counters (relation edges, SCC counts, bitset
-    /// OR operations, LA unions) are reported. The recorder only
+    /// `digraph.reads`, `digraph.includes`, `la.union`) and, when the
+    /// recorder is enabled, the structural pipeline counters (relation
+    /// edges, SCC counts, bitset OR operations, LA unions) are reported. The recorder only
     /// observes: enabled or not, the same traversals run, so a recorded
     /// compile costs the plain one plus the recorder's own bookkeeping.
     pub fn compute_recorded(
@@ -103,19 +102,19 @@ impl LalrAnalysis {
                         sets: &mut BitMatrix,
                         name: &'static str,
                         [or_ops, sccs]: [&'static str; 2]|
-         -> DigraphStats {
+         -> (DigraphStats, TraversalCounts) {
             let _span = lalr_obs::span(rec, name);
             let (stats, counts) = digraph_counting(graph, sets);
             if rec.is_enabled() {
                 rec.add(or_ops, counts.unions);
                 rec.add(sccs, stats.scc_count as u64);
             }
-            stats
+            (stats, counts)
         };
 
         // Phase 1: Read = Digraph(reads, DR).
         let mut read = relations.dr().clone();
-        let reads_traversal = traverse(
+        let (reads_traversal, reads_counts) = traverse(
             relations.reads(),
             &mut read,
             "digraph.reads",
@@ -124,7 +123,7 @@ impl LalrAnalysis {
 
         // Phase 2: Follow = Digraph(includes, Read).
         let mut follow = read.clone();
-        let includes_traversal = traverse(
+        let (includes_traversal, _) = traverse(
             relations.includes(),
             &mut follow,
             "digraph.includes",
@@ -168,10 +167,10 @@ impl LalrAnalysis {
         }
         drop(la_span);
 
-        let relation_stats = {
-            let _span = lalr_obs::span(rec, "relations.stats");
-            relations.stats()
-        };
+        // The traversals popped every SCC of both relations: the
+        // structural statistics need no pass of their own.
+        let relation_stats =
+            relations.stats_from_traversals(reads_counts.cycles, &includes_traversal);
 
         LalrAnalysis {
             read,

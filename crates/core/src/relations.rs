@@ -2,7 +2,7 @@
 
 use lalr_automata::{Lr0Automaton, NtTransId, ReductionId, ReductionIndex, StateId};
 use lalr_bitset::BitMatrix;
-use lalr_digraph::{tarjan_scc, Graph};
+use lalr_digraph::{tarjan_scc, DigraphStats, Graph};
 use lalr_grammar::analysis::NullableSet;
 use lalr_grammar::{Grammar, ProdId, Symbol, Terminal};
 
@@ -70,55 +70,67 @@ pub struct Relations {
 /// Marks a predecessor edge on a terminal (it carries no transition id).
 const NO_TRANSITION: u32 = u32::MAX;
 
-/// The in-edges of every LR(0) state, in CSR form: the edges into `s` are
-/// `edges[offsets[s] .. offsets[s + 1]]`, each a `(p, id)` pair for
-/// `p --X--> s`, with `id` the nonterminal transition `(p, X)` or
-/// [`NO_TRANSITION`] when `X` is a terminal. Every in-edge of `s` is
-/// labelled with the accessing symbol of `s`, so walking them back never
-/// searches by symbol.
-struct Predecessors {
+/// A stable counting sort of `(key, value)` pairs into CSR: the values
+/// with key `k`, in input order, are `values[offsets[k] .. offsets[k + 1]]`.
+/// `pairs` is called twice, to count and to scatter.
+struct Buckets<T> {
     offsets: Vec<u32>,
-    edges: Vec<(u32, u32)>,
+    values: Vec<T>,
 }
 
-impl Predecessors {
-    fn of(lr0: &Lr0Automaton) -> Predecessors {
-        let n = lr0.state_count();
-        let mut offsets = vec![0u32; n + 1];
-        for s in lr0.states() {
-            for &(_, to) in lr0.transitions(s) {
-                offsets[to.index() + 1] += 1;
-            }
-        }
-        for i in 1..=n {
+impl<T: Copy> Buckets<T> {
+    fn new<I: Iterator<Item = (u32, T)>>(keys: usize, pairs: impl Fn() -> I) -> Buckets<T> {
+        let mut offsets = vec![0u32; keys + 1];
+        // `for_each` iterates nested sources internally, which external
+        // `next` calls through a `flat_map` do not.
+        pairs().for_each(|(k, _)| offsets[k as usize + 1] += 1);
+        for i in 1..=keys {
             offsets[i] += offsets[i - 1];
         }
-        // Scatter with `offsets[s]` as the cursor of state `s`, then shift
-        // the cursors (which end on the next state's start) back.
-        let mut edges = vec![(0u32, NO_TRANSITION); offsets[n] as usize];
-        for p in lr0.states() {
-            // Transitions are symbol-sorted and nonterminal transition ids
-            // are assigned in that order, so the run is consumed in step.
+        // Every slot is overwritten; the first value is only a filler.
+        let mut values = match pairs().next() {
+            Some((_, v)) => vec![v; offsets[keys] as usize],
+            None => Vec::new(),
+        };
+        // Scatter with `offsets[k]` as key `k`'s cursor, then shift the
+        // cursors (which end on the next key's start) back.
+        pairs().for_each(|(k, v)| {
+            let cursor = &mut offsets[k as usize];
+            values[*cursor as usize] = v;
+            *cursor += 1;
+        });
+        offsets.copy_within(0..keys, 1);
+        offsets[0] = 0;
+        Buckets { offsets, values }
+    }
+
+    #[inline]
+    fn get(&self, key: usize) -> &[T] {
+        &self.values[self.offsets[key] as usize..self.offsets[key + 1] as usize]
+    }
+}
+
+/// The in-edges of every LR(0) state, in CSR form: `get(s)` lists a
+/// `(p, id)` pair for each `p --X--> s`, in ascending `p`, with `id` the
+/// nonterminal transition `(p, X)` or [`NO_TRANSITION`] when `X` is a
+/// terminal. Every in-edge of `s` is labelled with the accessing symbol
+/// of `s`, so walking them back never searches by symbol.
+fn predecessors(lr0: &Lr0Automaton) -> Buckets<(u32, u32)> {
+    Buckets::new(lr0.state_count(), || {
+        lr0.states().flat_map(|p| {
+            // Transitions are symbol-sorted and nonterminal transition
+            // ids are assigned in that order, so the run is consumed in
+            // step.
             let mut run = lr0.nt_transition_range(p);
-            for &(sym, to) in lr0.transitions(p) {
+            lr0.transitions(p).iter().map(move |&(sym, to)| {
                 let id = match sym {
                     Symbol::Terminal(_) => NO_TRANSITION,
                     Symbol::NonTerminal(_) => run.next().expect("one id per transition") as u32,
                 };
-                let cursor = &mut offsets[to.index()];
-                edges[*cursor as usize] = (p.index() as u32, id);
-                *cursor += 1;
-            }
-        }
-        offsets.copy_within(0..n, 1);
-        offsets[0] = 0;
-        Predecessors { offsets, edges }
-    }
-
-    #[inline]
-    fn edges_into(&self, s: u32) -> &[(u32, u32)] {
-        &self.edges[self.offsets[s as usize] as usize..self.offsets[s as usize + 1] as usize]
-    }
+                (to.index() as u32, (p.index() as u32, id))
+            })
+        })
+    })
 }
 
 impl Relations {
@@ -157,13 +169,20 @@ impl Relations {
 
     /// Builds all four relations reusing a precomputed nullable set.
     ///
+    /// `DR` and `reads` rows depend only on a transition's target state,
+    /// so each target's rows are built once, at the first transition into
+    /// it, and copied to the others; `reads` is written straight into CSR.
+    ///
     /// `includes` and `lookback` come from one backward pass: each
     /// reduction point `(q, A→ω)` is walked back `|ω|` steps over the
     /// automaton's predecessor edges, which enumerates exactly the paths
     /// `p --ω--> q`. Each path yields the lookback edge to `(p, A)` and,
     /// at the positions of `ω` followed by a nullable suffix, the
-    /// `includes` edges whose sources ride on the predecessor edges. Both
-    /// relations come out sorted by (source, target).
+    /// `includes` edges whose sources ride on the predecessor edges. The
+    /// points are walked grouped by left-hand side, so a path's end reads
+    /// `(p, A)` from a per-state slot filled for `A`'s transitions
+    /// instead of searching `p`'s. Both relations come out sorted by
+    /// (source, target).
     pub fn build_with(grammar: &Grammar, lr0: &Lr0Automaton, nullable: NullableSet) -> Relations {
         let nts = lr0.nt_transitions();
         let n = nts.len();
@@ -172,26 +191,37 @@ impl Relations {
         // DR(p, A) = { t : p --A--> r --t--> }, plus $ for the transition
         // that reaches the accept state (reading `A` there means end of
         // input may follow — the paper's `S' → S ⊣` augmentation).
+        // (p, A) reads (r, C) iff p --A--> r --C--> and C nullable; the
+        // candidates are r's run of nonterminal transitions.
+        let mut first_into = vec![NO_TRANSITION; lr0.state_count()];
         let mut dr = BitMatrix::new(n, grammar.terminal_count());
+        let mut reads_offsets = Vec::with_capacity(n + 1);
+        reads_offsets.push(0u32);
+        let mut reads_targets: Vec<u32> = Vec::new();
         for (i, t) in nts.iter().enumerate() {
-            for term in lr0.shift_symbols(t.to) {
-                dr.set(i, term.index());
+            let first = &mut first_into[t.to.index()];
+            if *first == NO_TRANSITION {
+                *first = i as u32;
+                for term in lr0.shift_symbols(t.to) {
+                    dr.set(i, term.index());
+                }
+                if t.to == accept {
+                    dr.set(i, Terminal::EOF.index());
+                }
+                reads_targets.extend(
+                    lr0.nt_transition_range(t.to)
+                        .filter(|&j| nullable.contains(nts[j].nt))
+                        .map(|j| j as u32),
+                );
+            } else {
+                let f = *first as usize;
+                dr.copy_row(i, f);
+                reads_targets
+                    .extend_from_within(reads_offsets[f] as usize..reads_offsets[f + 1] as usize);
             }
-            if t.to == accept {
-                dr.set(i, Terminal::EOF.index());
-            }
+            reads_offsets.push(reads_targets.len() as u32);
         }
-
-        // reads: (p, A) reads (r, C) iff p --A--> r --C--> and C nullable;
-        // the candidates are r's run of nonterminal transitions.
-        let reads = Graph::from_edges(
-            n,
-            nts.iter().enumerate().flat_map(|(i, t)| {
-                lr0.nt_transition_range(t.to)
-                    .filter(|&j| nullable.contains(nts[j].nt))
-                    .map(move |j| (i, j))
-            }),
-        );
+        let reads = Graph::from_csr(reads_offsets, reads_targets);
 
         // includes and lookback, by walking every reduction point back:
         //   (p, A) includes (p', B)  iff  B → β A γ, γ ⇒* ε, p' --β--> p
@@ -211,64 +241,125 @@ impl Relations {
             })
             .collect();
         let max_rhs = grammar.productions().iter().map(|p| p.len()).max();
-        let preds = Predecessors::of(lr0);
+        let preds = predecessors(lr0);
         let reductions = ReductionIndex::from_lr0(lr0);
-        let mut lookback_offsets = Vec::with_capacity(reductions.len() + 1);
-        lookback_offsets.push(0u32);
-        let mut lookback_slab: Vec<NtTransId> = Vec::with_capacity(reductions.len());
+        let lhs_of = |pid: ProdId| grammar.production(pid).lhs().index() as u32;
+        let n_nts = grammar.nonterminal_count();
+        let points_by_lhs = Buckets::new(n_nts, || {
+            reductions
+                .iter()
+                .filter(|&(_, _, pid)| pid != ProdId::START)
+                .map(|(r, q, pid)| (lhs_of(pid), (r, q.index() as u32, pid)))
+        });
+        let transitions_by_nt = Buckets::new(n_nts, || {
+            nts.iter()
+                .enumerate()
+                .map(|(j, t)| (t.nt.index() as u32, j as u32))
+        });
+        // `slot[p]` is the transition `(p, A)` while the points of `A` are
+        // walked.
+        let mut slot = vec![NO_TRANSITION; lr0.state_count()];
+        // `rows[r]` is reduction point `r`'s lookback row in `ends`.
+        let mut rows = vec![(0u32, 0u32); reductions.len()];
+        let mut ends: Vec<NtTransId> = Vec::with_capacity(reductions.len());
         let mut includes_pairs: Vec<(u32, u32)> = Vec::new();
         // `path[k]` is the transition id on the current path's edge over
         // body position `k`; `stack` holds `(state, k, id)` with `state`
         // the one before position `k` and `id` its edge over it.
         let mut path = vec![NO_TRANSITION; max_rhs.unwrap_or(0)];
         let mut stack: Vec<(u32, u32, u32)> = Vec::new();
-        for (_, q, pid) in reductions.iter() {
-            // The augmented start production has no transition to look
-            // back to.
-            if pid != ProdId::START {
-                let prod = grammar.production(pid);
-                let (lhs, len) = (prod.lhs(), prod.len());
-                let row = lookback_slab.len();
-                stack.push((q.index() as u32, len as u32, NO_TRANSITION));
-                while let Some((s, k, id)) = stack.pop() {
-                    let k = k as usize;
-                    if k < len {
-                        path[k] = id;
-                    }
-                    if k > 0 {
-                        stack.extend(
-                            preds
-                                .edges_into(s)
-                                .iter()
-                                .map(|&(p, id)| (p, k as u32 - 1, id)),
-                        );
-                        continue;
-                    }
-                    let j = lr0
-                        .nt_transition_id(StateId::new(s as usize), lhs)
-                        .expect("a body's start state has a transition on its LHS");
-                    lookback_slab.push(j);
-                    let j = j.index() as u32;
-                    includes_pairs.extend(
-                        path[tail[pid.index()] as usize..len]
-                            .iter()
-                            .filter(|&&i| i != NO_TRANSITION)
-                            .map(|&i| (i, j)),
-                    );
-                }
-                lookback_slab[row..].sort_unstable();
+        for a in 0..n_nts {
+            for &j in transitions_by_nt.get(a) {
+                slot[nts[j as usize].from.index()] = j;
             }
+            for &(r, q, pid) in points_by_lhs.get(a) {
+                let len = grammar.production(pid).len();
+                let start = ends.len();
+                // A body's start state has a transition on its LHS.
+                let lookback = |s: u32| {
+                    let j = slot[s as usize];
+                    debug_assert_eq!(nts[j as usize].nt.index(), a);
+                    j
+                };
+                match len {
+                    // An empty body's only path starts where it ends.
+                    0 => ends.push(NtTransId::new(lookback(q) as usize)),
+                    // One step back over each in-edge of `q`. They come
+                    // in ascending source order, and so do the sources'
+                    // transitions on `A`: the row is born sorted. The
+                    // body's one symbol has an empty suffix, so an edge
+                    // on a nonterminal is an `includes` source.
+                    1 => {
+                        for &(p, id) in preds.get(q as usize) {
+                            let j = lookback(p);
+                            ends.push(NtTransId::new(j as usize));
+                            if id != NO_TRANSITION {
+                                includes_pairs.push((id, j));
+                            }
+                        }
+                    }
+                    _ => {
+                        stack.push((q, len as u32, NO_TRANSITION));
+                        while let Some((s, k, id)) = stack.pop() {
+                            let k = k as usize;
+                            if k < len {
+                                path[k] = id;
+                            }
+                            if k > 0 {
+                                stack.extend(
+                                    preds
+                                        .get(s as usize)
+                                        .iter()
+                                        .map(|&(p, id)| (p, k as u32 - 1, id)),
+                                );
+                                continue;
+                            }
+                            let j = lookback(s);
+                            ends.push(NtTransId::new(j as usize));
+                            includes_pairs.extend(
+                                path[tail[pid.index()] as usize..len]
+                                    .iter()
+                                    .filter(|&&i| i != NO_TRANSITION)
+                                    .map(|&i| (i, j)),
+                            );
+                        }
+                        ends[start..].sort_unstable();
+                    }
+                }
+                rows[r.index()] = (start as u32, ends.len() as u32);
+            }
+        }
+        // Lay the lookback rows out in reduction-id order.
+        let mut lookback_offsets = Vec::with_capacity(reductions.len() + 1);
+        lookback_offsets.push(0u32);
+        let mut lookback_slab: Vec<NtTransId> = Vec::with_capacity(ends.len());
+        for &(lo, hi) in &rows {
+            lookback_slab.extend_from_slice(&ends[lo as usize..hi as usize]);
             lookback_offsets.push(lookback_slab.len() as u32);
         }
-        // Transposing twice is a stable radix sort by (source, target), so
-        // each row is sorted and its duplicates are adjacent.
-        let by_target = Graph::from_edges(
-            n,
-            includes_pairs
-                .into_iter()
-                .map(|(i, j)| (j as usize, i as usize)),
-        );
-        let includes = Graph::from_edges_dedup(n, by_target.edges().map(|(j, i)| (i, j)));
+
+        // Two stable counting sorts, by target and then by source, sort
+        // each row by target with its duplicates adjacent; drop them in
+        // place.
+        let by_target = Buckets::new(n, || includes_pairs.iter().map(|&(i, j)| (j, i)));
+        let by_source = Buckets::new(n, || {
+            (0..n as u32).flat_map(|j| by_target.get(j as usize).iter().map(move |&i| (i, j)))
+        });
+        let (mut offsets, mut targets) = (by_source.offsets, by_source.values);
+        let mut kept = 0;
+        for u in 0..n {
+            let (lo, hi) = (offsets[u] as usize, offsets[u + 1] as usize);
+            offsets[u] = kept as u32;
+            for k in lo..hi {
+                if k == lo || targets[k] != targets[k - 1] {
+                    targets[kept] = targets[k];
+                    kept += 1;
+                }
+            }
+        }
+        offsets[n] = kept as u32;
+        targets.truncate(kept);
+        let includes = Graph::from_csr(offsets, targets);
 
         Relations {
             dr,
@@ -337,7 +428,9 @@ impl Relations {
         &self.nullable
     }
 
-    /// Relation statistics (Table 1 / Figure 2 data).
+    /// Relation statistics (Table 1 / Figure 2 data), from an SCC pass
+    /// over `reads` and `includes` of its own. `LalrAnalysis` takes the
+    /// same numbers from its two Digraph traversals instead.
     pub fn stats(&self) -> RelationStats {
         let reads_scc = tarjan_scc(&self.reads);
         let includes_scc = tarjan_scc(&self.includes);
@@ -345,10 +438,6 @@ impl Relations {
         let reads_sizes = reads_scc.sizes();
         let includes_sizes = includes_scc.sizes();
         RelationStats {
-            nt_transitions: self.reads.node_count(),
-            reads_edges: self.reads.edge_count(),
-            includes_edges: self.includes.edge_count(),
-            lookback_edges: self.lookback_slab.len(),
             reads_nontrivial_sccs: nontrivial(&reads_sizes)
                 + (0..self.reads.node_count())
                     .filter(|&i| {
@@ -357,6 +446,36 @@ impl Relations {
                     .count(),
             includes_nontrivial_sccs: nontrivial(&includes_sizes),
             includes_max_scc: includes_sizes.iter().copied().max().unwrap_or(0),
+            ..self.edge_stats()
+        }
+    }
+
+    /// [`Relations::stats`] without the SCC pass: the structural columns
+    /// come from the Digraph traversals over these relations, which pop
+    /// every SCC of both anyway — `reads_cycles` is the `reads` pass's
+    /// [`TraversalCounts::cycles`](lalr_digraph::TraversalCounts::cycles),
+    /// `includes` the `includes` pass's stats.
+    pub(crate) fn stats_from_traversals(
+        &self,
+        reads_cycles: u64,
+        includes: &DigraphStats,
+    ) -> RelationStats {
+        RelationStats {
+            reads_nontrivial_sccs: reads_cycles as usize,
+            includes_nontrivial_sccs: includes.nontrivial_sccs,
+            includes_max_scc: includes.max_scc_size,
+            ..self.edge_stats()
+        }
+    }
+
+    /// The node and edge counts of [`RelationStats`].
+    fn edge_stats(&self) -> RelationStats {
+        RelationStats {
+            nt_transitions: self.reads.node_count(),
+            reads_edges: self.reads.edge_count(),
+            includes_edges: self.includes.edge_count(),
+            lookback_edges: self.lookback_slab.len(),
+            ..RelationStats::default()
         }
     }
 }

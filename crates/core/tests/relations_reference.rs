@@ -6,10 +6,12 @@
 //! position, and first-occurrence deduplication of `includes` edges. It
 //! returns plain adjacency lists, so every `DR` row, every successor list
 //! (in order) and every lookback row of the CSR builder can be compared
-//! against it.
+//! against it. On the same inputs, the relation statistics the analysis
+//! takes from its two Digraph traversals must equal those of
+//! `Relations::stats`' own SCC pass.
 
 use lalr_automata::{Lr0Automaton, ReductionId, ReductionIndex};
-use lalr_core::Relations;
+use lalr_core::{LalrAnalysis, Relations};
 use lalr_corpus::synthetic::{self, RandomConfig};
 use lalr_grammar::{Grammar, Symbol, Terminal};
 
@@ -96,7 +98,9 @@ fn reference(grammar: &Grammar, lr0: &Lr0Automaton) -> Reference {
     }
 }
 
-fn assert_same(name: &str, grammar: &Grammar) {
+/// Checks every relation against the reference; returns whether `reads`
+/// has a cycle.
+fn assert_same(name: &str, grammar: &Grammar) -> bool {
     let lr0 = Lr0Automaton::build(grammar);
     let rel = Relations::build(grammar, &lr0);
     let want = reference(grammar, &lr0);
@@ -131,6 +135,13 @@ fn assert_same(name: &str, grammar: &Grammar) {
             .collect();
         assert_eq!(&got, row, "{name}: lookback row {r}");
     }
+    let stats = rel.stats();
+    assert_eq!(
+        LalrAnalysis::compute(grammar, &lr0).relation_stats(),
+        &stats,
+        "{name}: relation stats from the traversals"
+    );
+    stats.reads_nontrivial_sccs > 0
 }
 
 #[test]
@@ -172,6 +183,7 @@ fn large_random_relations_match_the_forward_walk() {
 
 #[test]
 fn small_random_relations_match_the_forward_walk() {
+    let mut reads_cycles = 0;
     for nonterminals in [3usize, 6, 12] {
         for epsilon_prob in [0.0, 0.15, 0.3, 0.5] {
             let config = RandomConfig {
@@ -182,11 +194,15 @@ fn small_random_relations_match_the_forward_walk() {
                 epsilon_prob,
             };
             for seed in 0..150u64 {
-                assert_same(
+                reads_cycles += usize::from(assert_same(
                     &format!("random({seed};{nonterminals}nt,eps {epsilon_prob})"),
                     &synthetic::random(seed, config),
-                );
+                ));
             }
         }
     }
+    assert!(
+        reads_cycles >= 50,
+        "only {reads_cycles} inputs with reads cycles"
+    );
 }

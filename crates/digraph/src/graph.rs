@@ -69,6 +69,42 @@ impl Graph {
         Graph::build(n, edges, true)
     }
 
+    /// Takes a graph already in CSR form: node `u`'s successors are
+    /// `targets[offsets[u] .. offsets[u + 1]]`, so there are
+    /// `offsets.len() - 1` nodes. For builders that produce their rows in
+    /// node order; nothing is copied or sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offsets` is empty, does not start at 0, decreases, or
+    /// does not end at `targets.len()`, or if a target is out of range.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lalr_digraph::Graph;
+    ///
+    /// let g = Graph::from_csr(vec![0, 2, 2, 3], vec![2, 1, 0]);
+    /// assert_eq!(g, Graph::from_edges(3, [(0, 2), (0, 1), (2, 0)]));
+    /// ```
+    pub fn from_csr(offsets: Vec<u32>, targets: Vec<u32>) -> Self {
+        assert_eq!(offsets.first(), Some(&0), "offsets start at 0");
+        assert!(
+            offsets.windows(2).all(|w| w[0] <= w[1]),
+            "offsets never decrease"
+        );
+        assert_eq!(
+            offsets[offsets.len() - 1] as usize,
+            targets.len(),
+            "offsets end at the target count"
+        );
+        let n = offsets.len() - 1;
+        if let Some(&v) = targets.iter().find(|&&v| v as usize >= n) {
+            panic!("target {v} out of range");
+        }
+        Graph { offsets, targets }
+    }
+
     fn build<I: IntoIterator<Item = (usize, usize)>>(n: usize, edges: I, dedup: bool) -> Self {
         let edges: Vec<(u32, u32)> = edges
             .into_iter()
@@ -225,6 +261,26 @@ mod tests {
     #[should_panic(expected = "target 2 out of range")]
     fn out_of_range_endpoints_panic() {
         let _ = Graph::from_edges(2, [(0, 2)]);
+    }
+
+    #[test]
+    fn csr_rows_are_taken_as_given() {
+        let g = Graph::from_csr(vec![0, 0, 3], vec![1, 0, 1]);
+        assert_eq!(g.successors(0), &[] as &[u32]);
+        assert_eq!(g.successors(1), &[1, 0, 1]);
+        assert_eq!(Graph::from_csr(vec![0], Vec::new()), Graph::new(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "target 2 out of range")]
+    fn csr_targets_are_checked() {
+        let _ = Graph::from_csr(vec![0, 1, 1], vec![2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "offsets never decrease")]
+    fn csr_offsets_are_checked() {
+        let _ = Graph::from_csr(vec![0, 2, 1], vec![0, 0]);
     }
 
     #[test]

@@ -67,16 +67,21 @@ impl DigraphStats {
     }
 }
 
-/// Set-operation tallies from a counting traversal — the "bitset OR
-/// operations" pipeline counter of the observability layer. The counts
-/// are structural (one per relation edge / component member), so they
-/// are deterministic for a fixed graph.
+/// Tallies from a counting traversal: the set operations behind the
+/// "bitset OR operations" pipeline counter of the observability layer,
+/// and the cycles the traversal closed. The counts are structural (one
+/// per relation edge / component member / component), so they are
+/// deterministic for a fixed graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraversalCounts {
     /// Number of `F(dst) ∪= F(src)` row unions performed.
     pub unions: u64,
     /// Number of `F(dst) := F(src)` row copies (SCC collapses).
     pub assigns: u64,
+    /// Components that are cycles: the nontrivial ones plus the
+    /// single nodes with a self-loop. On `reads`, each one proves the
+    /// grammar not LR(k).
+    pub cycles: u64,
 }
 
 /// A [`UnionSets`] adapter that forwards to an inner store while
@@ -99,9 +104,10 @@ impl<S: UnionSets> UnionSets for CountingSets<'_, S> {
 }
 
 /// [`digraph`] plus a [`TraversalCounts`] tally of the set operations it
-/// performed. The resulting matrix and stats are identical to
-/// [`digraph`]'s; the profiling layer uses this for its OR-operation
-/// counters.
+/// performed and the cycles it closed. The resulting matrix and stats are
+/// identical to [`digraph`]'s; the profiling layer uses this for its
+/// OR-operation counters, and the analysis takes its relation statistics
+/// from it instead of a second SCC pass.
 pub fn digraph_counting(graph: &Graph, sets: &mut BitMatrix) -> (DigraphStats, TraversalCounts) {
     assert_eq!(
         sets.rows(),
@@ -112,7 +118,8 @@ pub fn digraph_counting(graph: &Graph, sets: &mut BitMatrix) -> (DigraphStats, T
         inner: sets,
         counts: TraversalCounts::default(),
     };
-    let stats = digraph_on(graph, &mut counting);
+    let (stats, cycles) = traverse(graph, &mut counting, 0..graph.node_count());
+    counting.counts.cycles = cycles;
     (stats, counting.counts)
 }
 
@@ -202,7 +209,18 @@ where
     S: UnionSets,
     I: IntoIterator<Item = usize>,
 {
+    traverse(graph, sets, roots).0
+}
+
+/// The traversal behind every entry point: its stats, and the number of
+/// components that are cycles (see [`TraversalCounts::cycles`]).
+fn traverse<S, I>(graph: &Graph, sets: &mut S, roots: I) -> (DigraphStats, u64)
+where
+    S: UnionSets,
+    I: IntoIterator<Item = usize>,
+{
     let n = graph.node_count();
+    let mut cycles = 0u64;
     let mut index = vec![0u32; n];
     let mut stack: Vec<u32> = Vec::new();
     let mut stats = DigraphStats::default();
@@ -269,8 +287,10 @@ where
                     if size > 1 {
                         stats.nontrivial_sccs += 1;
                         stats.cyclic_nodes += size;
+                        cycles += 1;
                     } else if graph.has_self_loop(x) {
                         stats.cyclic_nodes += 1;
+                        cycles += 1;
                     }
                 }
                 // Propagate low-link and set to the parent frame.
@@ -282,7 +302,7 @@ where
             }
         }
     }
-    stats
+    (stats, cycles)
 }
 
 #[cfg(test)]
@@ -405,6 +425,18 @@ mod tests {
         assert_eq!(plain_stats, stats);
         assert_eq!(counts.assigns, 2, "two members collapse onto the root");
         assert_eq!(counts.unions, 3, "back edge + two parent propagations");
+        assert_eq!(counts.cycles, 1);
+    }
+
+    #[test]
+    fn cycles_count_nontrivial_components_and_self_loops() {
+        // {0,1} is a cycle, 2 loops on itself, 3 is a plain singleton.
+        let g = Graph::from_edges(4, [(0, 1), (1, 0), (1, 2), (2, 2), (2, 3)]);
+        let mut m = BitMatrix::new(4, 4);
+        let (stats, counts) = digraph_counting(&g, &mut m);
+        assert_eq!(counts.cycles, 2);
+        assert_eq!(stats.nontrivial_sccs, 1);
+        assert_eq!(stats.cyclic_nodes, 3);
     }
 
     #[test]
