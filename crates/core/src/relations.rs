@@ -72,7 +72,8 @@ const NO_TRANSITION: u32 = u32::MAX;
 
 /// A stable counting sort of `(key, value)` pairs into CSR: the values
 /// with key `k`, in input order, are `values[offsets[k] .. offsets[k + 1]]`.
-/// `pairs` is called twice, to count and to scatter.
+/// `pairs` is called three times: to count, for a filler value, and to
+/// scatter.
 struct Buckets<T> {
     offsets: Vec<u32>,
     values: Vec<T>,
@@ -275,57 +276,33 @@ impl Relations {
             for &(r, q, pid) in points_by_lhs.get(a) {
                 let len = grammar.production(pid).len();
                 let start = ends.len();
-                // A body's start state has a transition on its LHS.
-                let lookback = |s: u32| {
+                stack.push((q, len as u32, NO_TRANSITION));
+                while let Some((s, k, id)) = stack.pop() {
+                    let k = k as usize;
+                    if k < len {
+                        path[k] = id;
+                    }
+                    if k > 0 {
+                        stack.extend(
+                            preds
+                                .get(s as usize)
+                                .iter()
+                                .map(|&(p, id)| (p, k as u32 - 1, id)),
+                        );
+                        continue;
+                    }
+                    // A body's start state has a transition on its LHS.
                     let j = slot[s as usize];
                     debug_assert_eq!(nts[j as usize].nt.index(), a);
-                    j
-                };
-                match len {
-                    // An empty body's only path starts where it ends.
-                    0 => ends.push(NtTransId::new(lookback(q) as usize)),
-                    // One step back over each in-edge of `q`. They come
-                    // in ascending source order, and so do the sources'
-                    // transitions on `A`: the row is born sorted. The
-                    // body's one symbol has an empty suffix, so an edge
-                    // on a nonterminal is an `includes` source.
-                    1 => {
-                        for &(p, id) in preds.get(q as usize) {
-                            let j = lookback(p);
-                            ends.push(NtTransId::new(j as usize));
-                            if id != NO_TRANSITION {
-                                includes_pairs.push((id, j));
-                            }
-                        }
-                    }
-                    _ => {
-                        stack.push((q, len as u32, NO_TRANSITION));
-                        while let Some((s, k, id)) = stack.pop() {
-                            let k = k as usize;
-                            if k < len {
-                                path[k] = id;
-                            }
-                            if k > 0 {
-                                stack.extend(
-                                    preds
-                                        .get(s as usize)
-                                        .iter()
-                                        .map(|&(p, id)| (p, k as u32 - 1, id)),
-                                );
-                                continue;
-                            }
-                            let j = lookback(s);
-                            ends.push(NtTransId::new(j as usize));
-                            includes_pairs.extend(
-                                path[tail[pid.index()] as usize..len]
-                                    .iter()
-                                    .filter(|&&i| i != NO_TRANSITION)
-                                    .map(|&i| (i, j)),
-                            );
-                        }
-                        ends[start..].sort_unstable();
-                    }
+                    ends.push(NtTransId::new(j as usize));
+                    includes_pairs.extend(
+                        path[tail[pid.index()] as usize..len]
+                            .iter()
+                            .filter(|&&i| i != NO_TRANSITION)
+                            .map(|&i| (i, j)),
+                    );
                 }
+                ends[start..].sort_unstable();
                 rows[r.index()] = (start as u32, ends.len() as u32);
             }
         }
@@ -338,28 +315,15 @@ impl Relations {
             lookback_offsets.push(lookback_slab.len() as u32);
         }
 
-        // Two stable counting sorts, by target and then by source, sort
-        // each row by target with its duplicates adjacent; drop them in
-        // place.
-        let by_target = Buckets::new(n, || includes_pairs.iter().map(|&(i, j)| (j, i)));
-        let by_source = Buckets::new(n, || {
-            (0..n as u32).flat_map(|j| by_target.get(j as usize).iter().map(move |&i| (i, j)))
-        });
-        let (mut offsets, mut targets) = (by_source.offsets, by_source.values);
-        let mut kept = 0;
-        for u in 0..n {
-            let (lo, hi) = (offsets[u] as usize, offsets[u + 1] as usize);
-            offsets[u] = kept as u32;
-            for k in lo..hi {
-                if k == lo || targets[k] != targets[k - 1] {
-                    targets[kept] = targets[k];
-                    kept += 1;
-                }
-            }
-        }
-        offsets[n] = kept as u32;
-        targets.truncate(kept);
-        let includes = Graph::from_csr(offsets, targets);
+        // Transposing twice is a stable radix sort by (source, target), so
+        // each row is sorted and its duplicates are adjacent.
+        let by_target = Graph::from_edges(
+            n,
+            includes_pairs
+                .into_iter()
+                .map(|(i, j)| (j as usize, i as usize)),
+        );
+        let includes = Graph::from_edges_dedup(n, by_target.edges().map(|(j, i)| (i, j)));
 
         Relations {
             dr,
