@@ -47,25 +47,6 @@ fn bench_kernels(c: &mut Criterion) {
             })
         });
 
-        group.bench_with_input(BenchmarkId::new("or_assign", words), &words, |b, _| {
-            b.iter(|| {
-                for (dst, src) in dsts.iter_mut().zip(&srcs) {
-                    kernels::or_assign(dst, src);
-                }
-            })
-        });
-
-        let mask: Vec<usize> = (0..words).map(|i| usize::MAX >> (i % 3)).collect();
-        group.bench_with_input(BenchmarkId::new("masked_or", words), &words, |b, _| {
-            b.iter(|| {
-                let mut fresh = false;
-                for (dst, src) in dsts.iter_mut().zip(&srcs) {
-                    fresh |= kernels::masked_or(dst, src, &mask);
-                }
-                fresh
-            })
-        });
-
         group.bench_with_input(BenchmarkId::new("copy", words), &words, |b, _| {
             b.iter(|| {
                 for (dst, src) in dsts.iter_mut().zip(&srcs) {
@@ -76,21 +57,6 @@ fn bench_kernels(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("popcount", words), &words, |b, _| {
             b.iter(|| srcs.iter().map(|r| kernels::popcount(r)).sum::<usize>())
-        });
-
-        // The blocked accumulator: union 8 source rows per destination,
-        // the shape the tiled Digraph sweep batches per level tile.
-        group.bench_with_input(BenchmarkId::new("or_acc8", words), &words, |b, _| {
-            b.iter(|| {
-                let mut fresh = false;
-                for (i, dst) in dsts.iter_mut().enumerate() {
-                    let gather: Vec<&[usize]> = (0..8)
-                        .map(|k| srcs[(i + k * 251) % ROWS].as_slice())
-                        .collect();
-                    fresh |= kernels::or_accumulate(dst, &gather);
-                }
-                fresh
-            })
         });
     }
     group.finish();

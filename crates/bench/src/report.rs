@@ -552,9 +552,7 @@ fn estimated_ghz() -> f64 {
 }
 
 /// Times one kernel over a randomized row working set; returns ns/row.
-/// `per_call_rows` divides the figure for kernels that touch several
-/// logical rows per invocation (e.g. the blocked accumulator).
-fn bench_kernel_rows<F>(words: usize, per_call_rows: usize, mut op: F) -> f64
+fn bench_kernel_rows<F>(words: usize, mut op: F) -> f64
 where
     F: FnMut(&mut [usize], &[usize]),
 {
@@ -587,14 +585,14 @@ where
         best = best.min(t0.elapsed().as_nanos() as f64);
     }
     std::hint::black_box(&dsts);
-    best / (TABLE12_ROWS * TABLE12_REPS * per_call_rows) as f64
+    best / (TABLE12_ROWS * TABLE12_REPS) as f64
 }
 
 /// Table 12 — the bitset kernel substrate (E16): per-kernel ns/row and
 /// estimated cycles/row at the row widths the corpus actually selects
-/// (w=1 fixed-64, w=2 fixed-128) plus wider multi-word rows, the wide-lane
-/// dispatch this build resolved, and the cold c_subset DP pipeline
-/// measured live against the recorded pre-substrate baseline.
+/// (w=1 fixed-64, w=2 fixed-128) plus wider multi-word rows, the wide
+/// lane, and the cold c_subset DP pipeline measured live against the
+/// recorded pre-substrate baseline.
 pub fn table12() -> String {
     use crate::alloc_counter::measure;
     use lalr_automata::Lr0Automaton;
@@ -606,13 +604,8 @@ pub fn table12() -> String {
     let _ = writeln!(out, "Table 12: bitset kernel cycles/row (E16)");
     let _ = writeln!(
         out,
-        "wide lane: {} (simd compiled: {}); est. clock {:.2} GHz (rotate-xor chain calibration)",
-        lalr_bitset::dispatch_name(),
-        if lalr_bitset::simd_compiled() {
-            "yes"
-        } else {
-            "no"
-        },
+        "wide lane: {}; est. clock {:.2} GHz (rotate-xor chain calibration)",
+        lalr_core::kernel_dispatch_name(),
         ghz,
     );
     let _ = writeln!(
@@ -623,34 +616,14 @@ pub fn table12() -> String {
     type KernelRow = (&'static str, fn(usize) -> f64);
     let kernel_rows: &[KernelRow] = &[
         ("or", |w| {
-            bench_kernel_rows(w, 1, |d, s| {
+            bench_kernel_rows(w, |d, s| {
                 std::hint::black_box(kernels::or_into(d, s));
             })
         }),
-        ("or-assign", |w| bench_kernel_rows(w, 1, kernels::or_assign)),
-        ("masked-or", |w| {
-            let mask: Vec<usize> = (0..w).map(|i| usize::MAX >> (i % 3)).collect();
-            bench_kernel_rows(w, 1, move |d, s| {
-                std::hint::black_box(kernels::masked_or(d, s, &mask));
-            })
-        }),
-        ("copy", |w| bench_kernel_rows(w, 1, kernels::copy)),
+        ("copy", |w| bench_kernel_rows(w, kernels::copy)),
         ("popcount", |w| {
-            bench_kernel_rows(w, 1, |d, s| {
+            bench_kernel_rows(w, |d, s| {
                 std::hint::black_box(kernels::popcount(d) + kernels::popcount(s));
-            })
-        }),
-        ("or-acc(8)", |w| {
-            // One call unions 8 source rows into dst; report per source row
-            // so the column is comparable with the pairwise `or` kernel.
-            let extra: Vec<Vec<usize>> = (0..7)
-                .map(|i| vec![0x5555_5555_5555_5555usize.rotate_left(i); w])
-                .collect();
-            bench_kernel_rows(w, 8, move |d, s| {
-                let mut srcs: Vec<&[usize]> = Vec::with_capacity(8);
-                srcs.push(s);
-                srcs.extend(extra.iter().map(Vec::as_slice));
-                std::hint::black_box(kernels::or_accumulate(d, &srcs));
             })
         }),
     ];
@@ -822,14 +795,7 @@ mod tests {
     #[test]
     fn table12_reports_every_kernel_and_the_cold_pipeline() {
         let t = super::table12();
-        for kernel in [
-            "or",
-            "or-assign",
-            "masked-or",
-            "copy",
-            "popcount",
-            "or-acc(8)",
-        ] {
+        for kernel in ["or", "copy", "popcount"] {
             assert!(t.contains(kernel), "{kernel} missing from table 12");
         }
         assert!(t.contains("wide lane:"), "dispatch line missing");
@@ -838,12 +804,7 @@ mod tests {
             "cold section missing"
         );
         assert!(t.contains("pre-kernel"), "baseline column missing");
-        // The dispatch named must agree with how this test binary was built.
-        if lalr_bitset::simd_compiled() {
-            assert!(t.contains("simd compiled: yes"));
-        } else {
-            assert!(t.contains("wide lane: scalar-unrolled"));
-        }
+        assert!(t.contains("wide lane: scalar-unrolled"));
     }
 
     #[test]

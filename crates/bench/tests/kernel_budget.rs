@@ -8,8 +8,8 @@
 //! with nothing failing. This test pins, per corpus grammar, the
 //! `RowLayout` the look-ahead sets must select (derived from the
 //! terminal alphabet including the reserved `$`), plus the wide-lane
-//! dispatch the build is expected to report. A mismatch fails CI before
-//! any benchmark would notice the slowdown.
+//! name the build reports. A mismatch fails CI before any benchmark
+//! would notice the slowdown.
 
 use lalr_automata::Lr0Automaton;
 use lalr_bench::methods::Method;
@@ -72,20 +72,10 @@ fn every_corpus_grammar_is_pinned() {
     }
 }
 
+/// Run metadata, `lalrgen analyze` and the daemon's `lalr_build_info`
+/// metric print this name; it must not drift.
 #[test]
-fn wide_lane_dispatch_matches_build_features() {
-    let name = lalr_core::kernel_dispatch_name();
-    if lalr_core::simd_compiled() {
-        // Runtime detection picks the best lane the host offers; both
-        // are SIMD lanes and either is acceptable under the feature.
-        assert!(
-            matches!(name, "sse2" | "avx2"),
-            "simd build must select a vector lane, got {name:?}"
-        );
-    } else {
-        assert_eq!(
-            name, "scalar-unrolled",
-            "portable build must select the unrolled scalar lane"
-        );
-    }
+fn wide_lane_is_the_unrolled_scalar_loop() {
+    assert_eq!(lalr_core::kernel_dispatch_name(), "scalar-unrolled");
+    assert!(!lalr_core::simd_compiled());
 }

@@ -1,8 +1,8 @@
 //! Word-level row kernels: the one home of every inner loop in this crate.
 //!
 //! Every look-ahead method in the workspace bottoms out in a handful of
-//! dense row operations — union, union-with-changed-flag, masked OR,
-//! row copy, population count, and a blocked multi-source OR. The set
+//! dense row operations — union with a changed flag, row copy,
+//! population count, and the subset and disjointness tests. The set
 //! types of `bitset.rs`, `matrix.rs` and `refset.rs` all delegate here,
 //! so every caller shares one code path and one optimization surface.
 //!
@@ -16,11 +16,8 @@
 //!   dispatch in the body.
 //! * [`RowLayout::Fixed128`] (`W2`) — two words (65–128 terminals);
 //!   same story with a two-word straight-line body.
-//! * [`RowLayout::MultiWord`] — anything wider takes the *wide* path:
-//!   a 4-way unrolled scalar loop by default, or the `core::arch`
-//!   SSE2/AVX2 kernels when the crate is built with the `simd` feature
-//!   (selected once at runtime via CPU detection; see
-//!   [`dispatch_name`]).
+//! * [`RowLayout::MultiWord`] — anything wider takes the *wide* path,
+//!   one portable 4-way unrolled scalar loop.
 //!
 //! The fixed lanes are not merely an inlining hint: the kernels match on
 //! the slice width *first*, so a one-word grammar never executes loop
@@ -34,8 +31,6 @@
 //! mutating wrapper in this crate calls [`debug_assert_tail_clear`]
 //! after its kernel, so a kernel that smears bits into the tail fails
 //! loudly in debug builds instead of silently corrupting counts.
-
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::{words_for, BITS};
 
@@ -52,7 +47,7 @@ pub enum RowLayout {
     Fixed64,
     /// Two words per row (`W2`): universes of 65–128 bits.
     Fixed128,
-    /// The general unrolled/SIMD lane for wider universes.
+    /// The unrolled wide lane for wider universes.
     MultiWord {
         /// Words per row (`>= 3`).
         words: usize,
@@ -93,94 +88,6 @@ impl RowLayout {
             RowLayout::MultiWord { .. } => "multi-word",
         }
     }
-
-    /// The kernel lane this layout dispatches to: `w1`/`w2` for the
-    /// fixed widths, otherwise the wide dispatch (see [`dispatch_name`]).
-    pub fn dispatch(self) -> &'static str {
-        match self {
-            RowLayout::Fixed64 => "w1",
-            RowLayout::Fixed128 => "w2",
-            RowLayout::MultiWord { .. } => dispatch_name(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Wide-lane dispatch (runtime CPU detection, cached)
-
-const D_UNSET: u8 = 0;
-const D_SCALAR: u8 = 1;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-const D_SSE2: u8 = 2;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-const D_AVX2: u8 = 3;
-
-static WIDE_DISPATCH: AtomicU8 = AtomicU8::new(D_UNSET);
-
-#[inline]
-fn wide_dispatch() -> u8 {
-    match WIDE_DISPATCH.load(Ordering::Relaxed) {
-        D_UNSET => detect(),
-        d => d,
-    }
-}
-
-#[cold]
-fn detect() -> u8 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    let d = if std::arch::is_x86_feature_detected!("avx2") {
-        D_AVX2
-    } else {
-        D_SSE2
-    };
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    let d = D_SCALAR;
-    WIDE_DISPATCH.store(d, Ordering::Relaxed);
-    d
-}
-
-/// The wide-lane implementation selected for this process:
-/// `scalar-unrolled`, `sse2` or `avx2`.
-///
-/// Detection runs once (cached in an atomic); without the `simd` feature
-/// the answer is always `scalar-unrolled`.
-pub fn dispatch_name() -> &'static str {
-    match wide_dispatch() {
-        D_SCALAR => "scalar-unrolled",
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        D_SSE2 => "sse2",
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        D_AVX2 => "avx2",
-        _ => "scalar-unrolled",
-    }
-}
-
-/// Whether this build carries the `core::arch` kernels (the `simd`
-/// cargo feature on an x86_64 target). Runtime selection may still fall
-/// back to SSE2 on hosts without AVX2.
-pub fn simd_compiled() -> bool {
-    cfg!(all(feature = "simd", target_arch = "x86_64"))
-}
-
-// ---------------------------------------------------------------------------
-// Cache tiling
-
-/// Bytes of destination rows a tile aims to keep resident.
-///
-/// Half of a conservative 256 KiB L2: the other half is left to source
-/// rows and incidental state. Exact sizing is not
-/// critical — the point is that a tile of hot rows fits comfortably in
-/// L2 instead of streaming the whole matrix per pass.
-const L2_TILE_BYTES: usize = 128 << 10;
-
-/// Rows per cache tile for rows of `row_words` words: how many
-/// destination rows an LA scatter should touch before moving on, so the
-/// working set stays L2-resident.
-///
-/// Clamped to `[16, 4096]` so degenerate widths still form useful tiles.
-pub fn tile_rows(row_words: usize) -> usize {
-    let row_bytes = row_words.max(1) * std::mem::size_of::<usize>();
-    (L2_TILE_BYTES / row_bytes).clamp(16, 4096)
 }
 
 // ---------------------------------------------------------------------------
@@ -236,60 +143,6 @@ pub fn or_into(dst: &mut [usize], src: &[usize]) -> bool {
             fresh != 0
         }
         _ => or_wide(dst, &src[..dst.len()]),
-    }
-}
-
-/// `dst |= src` without the changed flag (callers that union into an
-/// accumulator and never test for fixpoint).
-///
-/// # Panics
-///
-/// Panics if `src` is shorter than `dst`.
-#[inline]
-pub fn or_assign(dst: &mut [usize], src: &[usize]) {
-    let _ = or_into(dst, src);
-}
-
-/// Masked OR: `dst |= src & mask`, reporting whether `dst` changed.
-///
-/// The seam for selective recomputation (union only the terminals a
-/// caller cares about); also exercised by the E12 kernel bench.
-///
-/// # Panics
-///
-/// Panics if `src` or `mask` is shorter than `dst`.
-#[inline]
-pub fn masked_or(dst: &mut [usize], src: &[usize], mask: &[usize]) -> bool {
-    assert!(
-        src.len() >= dst.len(),
-        "source shorter than destination row"
-    );
-    assert!(mask.len() >= dst.len(), "mask shorter than destination row");
-    match dst.len() {
-        0 => false,
-        1 => {
-            let s = src[0] & mask[0];
-            let fresh = s & !dst[0];
-            dst[0] |= s;
-            fresh != 0
-        }
-        2 => {
-            let s0 = src[0] & mask[0];
-            let s1 = src[1] & mask[1];
-            let fresh = (s0 & !dst[0]) | (s1 & !dst[1]);
-            dst[0] |= s0;
-            dst[1] |= s1;
-            fresh != 0
-        }
-        _ => {
-            let mut fresh = 0usize;
-            for (i, d) in dst.iter_mut().enumerate() {
-                let s = src[i] & mask[i];
-                fresh |= s & !*d;
-                *d |= s;
-            }
-            fresh != 0
-        }
     }
 }
 
@@ -360,51 +213,9 @@ pub fn is_disjoint(a: &[usize], b: &[usize]) -> bool {
     }
 }
 
-/// Blocked multi-source OR: `dst |= src₀ | src₁ | …`, reporting whether
-/// `dst` changed.
-///
-/// Walks word-major across all sources — each destination word is
-/// loaded and stored exactly once no matter how many sources feed it,
-/// and no block transpose is materialized: the kernel for several
-/// finalized rows flowing into one destination row.
-///
-/// # Panics
-///
-/// Panics if any source is shorter than `dst`.
-pub fn or_accumulate(dst: &mut [usize], srcs: &[&[usize]]) -> bool {
-    for s in srcs {
-        assert!(s.len() >= dst.len(), "source shorter than destination row");
-    }
-    let mut fresh = 0usize;
-    for (i, d) in dst.iter_mut().enumerate() {
-        let mut acc = 0usize;
-        for s in srcs {
-            acc |= s[i];
-        }
-        fresh |= acc & !*d;
-        *d |= acc;
-    }
-    fresh != 0
-}
-
-/// The wide lane of [`or_into`]: SIMD when compiled in and detected,
-/// otherwise the 4-way unrolled scalar loop.
-#[inline]
+/// The wide lane of [`or_into`]: 4-way unrolled, accumulating the
+/// fresh-bit mask so the changed test is one compare at the end.
 fn or_wide(dst: &mut [usize], src: &[usize]) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        match wide_dispatch() {
-            D_AVX2 => return x86::or_into_avx2(dst, src),
-            D_SSE2 => return x86::or_into_sse2(dst, src),
-            _ => {}
-        }
-    }
-    or_wide_scalar(dst, src)
-}
-
-/// Portable wide lane: 4-way unrolled, accumulating the fresh-bit mask
-/// so the changed test is one compare at the end.
-fn or_wide_scalar(dst: &mut [usize], src: &[usize]) -> bool {
     debug_assert_eq!(dst.len(), src.len());
     let n = dst.len();
     let split = n - n % 4;
@@ -428,110 +239,11 @@ fn or_wide_scalar(dst: &mut [usize], src: &[usize]) -> bool {
     fresh != 0
 }
 
-// ---------------------------------------------------------------------------
-// x86_64 SIMD lane (`simd` feature)
-
-/// `core::arch` kernels. The only `unsafe` in the crate lives here, and
-/// only under the `simd` feature: raw-pointer vector loads/stores over
-/// slices whose bounds are established by the safe wrappers, plus
-/// `target_feature` calls guarded by the cached runtime detection in
-/// [`wide_dispatch`].
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod x86 {
-    #![allow(unsafe_code)]
-
-    use std::arch::x86_64::{
-        __m128i, __m256i, _mm256_andnot_si256, _mm256_loadu_si256, _mm256_or_si256,
-        _mm256_setzero_si256, _mm256_storeu_si256, _mm256_testz_si256, _mm_andnot_si128,
-        _mm_cmpeq_epi8, _mm_loadu_si128, _mm_movemask_epi8, _mm_or_si128, _mm_setzero_si128,
-        _mm_storeu_si128,
-    };
-
-    /// AVX2 [`super::or_into`]: 256 bits (four 64-bit words) per step,
-    /// fresh bits accumulated in a vector and tested once with `vptest`.
-    ///
-    /// Safe to call only after `avx2` was runtime-detected (the
-    /// dispatcher guarantees it).
-    pub fn or_into_avx2(dst: &mut [usize], src: &[usize]) -> bool {
-        debug_assert_eq!(dst.len(), src.len());
-        // SAFETY: `avx2` support was established by `is_x86_feature_detected!`
-        // before this lane is ever selected.
-        unsafe { or_into_avx2_impl(dst, src) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn or_into_avx2_impl(dst: &mut [usize], src: &[usize]) -> bool {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr();
-        let sp = src.as_ptr();
-        let mut fresh_v = _mm256_setzero_si256();
-        let mut i = 0usize;
-        // SAFETY: `i + 4 <= n` bounds every 4-word (32-byte) unaligned
-        // load/store inside both slices; `loadu`/`storeu` carry no
-        // alignment requirement.
-        while i + 4 <= n {
-            let d = _mm256_loadu_si256(dp.add(i) as *const __m256i);
-            let s = _mm256_loadu_si256(sp.add(i) as *const __m256i);
-            fresh_v = _mm256_or_si256(fresh_v, _mm256_andnot_si256(d, s));
-            _mm256_storeu_si256(dp.add(i) as *mut __m256i, _mm256_or_si256(d, s));
-            i += 4;
-        }
-        let mut fresh = usize::from(_mm256_testz_si256(fresh_v, fresh_v) == 0);
-        while i < n {
-            let d = *dp.add(i);
-            let s = *sp.add(i);
-            fresh |= s & !d;
-            *dp.add(i) = d | s;
-            i += 1;
-        }
-        fresh != 0
-    }
-
-    /// SSE2 [`super::or_into`]: 128 bits (two 64-bit words) per step.
-    /// SSE2 is the x86_64 baseline, so this lane needs no detection —
-    /// it is the fallback when AVX2 is absent.
-    pub fn or_into_sse2(dst: &mut [usize], src: &[usize]) -> bool {
-        debug_assert_eq!(dst.len(), src.len());
-        // SAFETY: SSE2 is unconditionally available on x86_64.
-        unsafe { or_into_sse2_impl(dst, src) }
-    }
-
-    #[target_feature(enable = "sse2")]
-    unsafe fn or_into_sse2_impl(dst: &mut [usize], src: &[usize]) -> bool {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr();
-        let sp = src.as_ptr();
-        let mut fresh_v = _mm_setzero_si128();
-        let mut i = 0usize;
-        // SAFETY: `i + 2 <= n` bounds every 2-word (16-byte) unaligned
-        // load/store inside both slices.
-        while i + 2 <= n {
-            let d = _mm_loadu_si128(dp.add(i) as *const __m128i);
-            let s = _mm_loadu_si128(sp.add(i) as *const __m128i);
-            fresh_v = _mm_or_si128(fresh_v, _mm_andnot_si128(d, s));
-            _mm_storeu_si128(dp.add(i) as *mut __m128i, _mm_or_si128(d, s));
-            i += 2;
-        }
-        // SSE2 has no `ptest`: compare the accumulator to zero bytewise.
-        let zero = _mm_setzero_si128();
-        let all_zero = _mm_movemask_epi8(_mm_cmpeq_epi8(fresh_v, zero)) == 0xFFFF;
-        let mut fresh = usize::from(!all_zero);
-        while i < n {
-            let d = *dp.add(i);
-            let s = *sp.add(i);
-            fresh |= s & !d;
-            *dp.add(i) = d | s;
-            i += 1;
-        }
-        fresh != 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The unoptimized reference all lanes must match.
+    /// The unoptimized reference every lane must match.
     fn or_reference(dst: &mut [usize], src: &[usize]) -> bool {
         let mut changed = false;
         for (d, &s) in dst.iter_mut().zip(src) {
@@ -571,19 +283,6 @@ mod tests {
         assert_eq!(RowLayout::select(5).name(), "fixed-64");
         assert_eq!(RowLayout::select(BITS + 1).name(), "fixed-128");
         assert_eq!(RowLayout::select(999).name(), "multi-word");
-        assert_eq!(RowLayout::select(5).dispatch(), "w1");
-        assert_eq!(RowLayout::select(BITS + 1).dispatch(), "w2");
-    }
-
-    #[test]
-    fn dispatch_name_is_stable_and_consistent() {
-        let name = dispatch_name();
-        assert_eq!(name, dispatch_name(), "cached answer must not flap");
-        if simd_compiled() {
-            assert!(matches!(name, "sse2" | "avx2"), "{name}");
-        } else {
-            assert_eq!(name, "scalar-unrolled");
-        }
     }
 
     #[test]
@@ -604,30 +303,15 @@ mod tests {
     }
 
     #[test]
-    fn wide_scalar_lane_matches_reference() {
+    fn wide_lane_matches_reference() {
         for n in 3..=13 {
             let src = words(99, n);
             let mut a = words(7, n);
             let mut b = a.clone();
             let ra = or_reference(&mut a, &src);
-            let rb = or_wide_scalar(&mut b, &src);
+            let rb = or_wide(&mut b, &src);
             assert_eq!(a, b, "width {n}");
             assert_eq!(ra, rb, "width {n}");
-        }
-    }
-
-    #[test]
-    fn masked_or_applies_mask() {
-        for n in 0..=6 {
-            let src = words(3, n);
-            let mask = words(5, n);
-            let mut got = words(11, n);
-            let mut want = got.clone();
-            let masked: Vec<usize> = src.iter().zip(&mask).map(|(&s, &m)| s & m).collect();
-            let rw = or_reference(&mut want, &masked);
-            let rg = masked_or(&mut got, &src, &mask);
-            assert_eq!(want, got, "width {n}");
-            assert_eq!(rw, rg, "width {n}");
         }
     }
 
@@ -659,36 +343,6 @@ mod tests {
                 assert!(is_disjoint(&a, &inverted));
             }
         }
-    }
-
-    #[test]
-    fn or_accumulate_matches_sequential_unions() {
-        for n in 0..=6 {
-            for k in 0..=4 {
-                let srcs: Vec<Vec<usize>> = (0..k).map(|i| words(40 + i as u64, n)).collect();
-                let refs: Vec<&[usize]> = srcs.iter().map(Vec::as_slice).collect();
-                let mut got = words(77, n);
-                let mut want = got.clone();
-                let mut want_changed = false;
-                for s in &srcs {
-                    want_changed |= or_reference(&mut want, s);
-                }
-                let got_changed = or_accumulate(&mut got, &refs);
-                assert_eq!(want, got, "width {n}, {k} sources");
-                assert_eq!(want_changed, got_changed, "width {n}, {k} sources");
-            }
-        }
-    }
-
-    #[test]
-    fn tile_rows_is_l2_sized_and_clamped() {
-        // 2-word rows: 16 bytes each; 128 KiB / 16 B = 8192, clamped to 4096.
-        assert_eq!(tile_rows(2), 4096);
-        assert_eq!(tile_rows(0), tile_rows(1));
-        // Very wide rows still tile at the floor.
-        assert_eq!(tile_rows(1 << 20), 16);
-        // Monotone non-increasing in width.
-        assert!(tile_rows(4) >= tile_rows(8));
     }
 
     #[test]

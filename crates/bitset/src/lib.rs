@@ -25,10 +25,7 @@
 //! assert_eq!(a.iter().collect::<Vec<_>>(), vec![3, 70, 100]);
 //! ```
 
-// `unsafe` is forbidden everywhere except the explicitly allowed
-// `kernels::x86` module, which only exists under the `simd` feature.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bitset;
@@ -38,7 +35,7 @@ mod refset;
 pub mod kernels;
 
 pub use bitset::{BitSet, Iter};
-pub use kernels::{dispatch_name, simd_compiled, tile_rows, RowLayout};
+pub use kernels::RowLayout;
 pub use matrix::BitMatrix;
 pub use refset::{BitSetRef, RefIter};
 

@@ -253,28 +253,6 @@ impl BitMatrix {
     pub fn row_to_bitset(&self, row: usize) -> crate::BitSet {
         crate::BitSet::from_indices(self.cols, self.iter_row(row))
     }
-
-    /// Reflexive-transitive closure interpretation: treats the matrix as an
-    /// adjacency relation over `rows == cols` nodes and computes its
-    /// transitive closure in place (Warshall), used as the *naive* reference
-    /// against which the Digraph algorithm is benchmarked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn transitive_closure(&mut self) {
-        assert_eq!(
-            self.rows, self.cols,
-            "transitive closure needs a square matrix"
-        );
-        for k in 0..self.rows {
-            for i in 0..self.rows {
-                if self.get(i, k) {
-                    self.union_rows(i, k);
-                }
-            }
-        }
-    }
 }
 
 impl fmt::Debug for BitMatrix {
@@ -361,38 +339,5 @@ mod tests {
         let s = m.row_to_bitset(0);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![2, 89]);
         assert_eq!(s.len(), 90);
-    }
-
-    #[test]
-    fn warshall_closure_on_chain() {
-        // 0 -> 1 -> 2 -> 3
-        let mut m = BitMatrix::new(4, 4);
-        m.set(0, 1);
-        m.set(1, 2);
-        m.set(2, 3);
-        m.transitive_closure();
-        assert!(m.get(0, 3));
-        assert!(m.get(1, 3));
-        assert!(!m.get(3, 0));
-    }
-
-    #[test]
-    fn warshall_closure_on_cycle() {
-        let mut m = BitMatrix::new(3, 3);
-        m.set(0, 1);
-        m.set(1, 2);
-        m.set(2, 0);
-        m.transitive_closure();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!(m.get(i, j), "cycle closure is complete at ({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "square")]
-    fn closure_requires_square() {
-        BitMatrix::new(2, 3).transitive_closure();
     }
 }

@@ -1,13 +1,12 @@
 //! Differential pinning of every kernel lane against a naive reference.
 //!
-//! The kernel module carries four implementations of the same row union:
-//! the `W1`/`W2` fixed-width lanes, the 4-way unrolled scalar wide lane,
-//! and (under the `simd` feature) the SSE2/AVX2 lanes selected at
-//! runtime. Widths `1..=8` words cross every dispatch boundary — 1 and 2
-//! hit the fixed lanes, 3+ the wide lane, and 5/7 exercise the unroll
+//! The kernel module carries three implementations of the same row
+//! union: the `W1`/`W2` fixed-width lanes and the 4-way unrolled scalar
+//! wide lane. Widths `1..=8` words cross every dispatch boundary — 1 and
+//! 2 hit the fixed lanes, 3+ the wide lane, and 5/7 exercise the unroll
 //! remainders — and universes deliberately include ragged tails
-//! (`bits % 64 != 0`). Whatever lane this build dispatches to must be
-//! bit-identical to the one-word-at-a-time reference.
+//! (`bits % 64 != 0`). Every lane must be bit-identical to the
+//! one-word-at-a-time reference.
 
 use lalr_bitset::{BitMatrix, BitSet};
 use proptest::prelude::*;
@@ -113,11 +112,10 @@ proptest! {
     }
 }
 
-/// The layout a universe selects is a pure function of its width, and
-/// the selected lane name is consistent with the build's features — the
+/// The layout a universe selects is a pure function of its width — the
 /// anchor for `kernel_budget.rs` in `lalr-bench`.
 #[test]
-fn layouts_and_dispatch_are_deterministic() {
+fn layouts_are_deterministic() {
     use lalr_bitset::RowLayout;
     for words in 1usize..=8 {
         for used in [1, BITS / 2, BITS] {
@@ -132,10 +130,5 @@ fn layouts_and_dispatch_are_deterministic() {
             assert_eq!(layout.name(), expected, "bits={bits}");
             assert_eq!(BitMatrix::new(1, bits).layout(), layout);
         }
-    }
-    if lalr_bitset::simd_compiled() {
-        assert!(matches!(lalr_bitset::dispatch_name(), "sse2" | "avx2"));
-    } else {
-        assert_eq!(lalr_bitset::dispatch_name(), "scalar-unrolled");
     }
 }

@@ -1700,7 +1700,6 @@ mod tests {
     fn profile_reports_kernel_counter_section() {
         let out = run_strs(&["profile", "expr"]).unwrap();
         assert!(out.contains("kernel counters"), "{out}");
-        assert!(out.contains("kernel.la.batch_ops"), "{out}");
         assert!(out.contains("kernel.row_words = 1"), "{out}");
     }
 

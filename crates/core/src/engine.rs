@@ -139,19 +139,16 @@ impl LalrAnalysis {
             relations.reduction_index().clone(),
             grammar.terminal_count(),
         );
-        // Collect the lookback edges as (reduction row, Follow row) ops
-        // and hand them to the batched kernel lane, which tiles the LA
-        // matrix to L2 and loads each hot Follow row once per tile.
         let mut la_reductions = 0u64;
-        let mut la_ops: Vec<(u32, u32)> = Vec::new();
+        let mut la_unions = 0u64;
         for (rid, transitions) in relations.lookback_entries() {
             la.touch_id(rid);
             la_reductions += 1;
             for &t in transitions {
-                la_ops.push((rid.index() as u32, t.index() as u32));
+                la.union_words(rid, follow.row_words(t.index()));
             }
+            la_unions += transitions.len() as u64;
         }
-        let la_unions = la.union_rows_batch(&mut la_ops, &follow);
         // The augmented production has no lookback (no transition ever reads
         // `<start>`); its "reduction" is the accept action on $.
         la.insert(
@@ -162,7 +159,6 @@ impl LalrAnalysis {
         if rec.is_enabled() {
             rec.add("la.reduction_points", la_reductions);
             rec.add("la.or_ops", la_unions);
-            rec.add("kernel.la.batch_ops", la_unions);
             rec.add("kernel.row_words", la.layout().words() as u64);
         }
         drop(la_span);

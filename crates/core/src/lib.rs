@@ -57,7 +57,7 @@ pub use classify::{classify, classify_from, classify_recorded, GrammarClass, Met
 pub use conflicts::{find_conflicts, Conflict, ConflictKind};
 pub use engine::LalrAnalysis;
 pub use explain::{explain_conflict, viable_prefix};
-pub use lalr_bitset::{dispatch_name as kernel_dispatch_name, simd_compiled, RowLayout};
+pub use lalr_bitset::RowLayout;
 pub use lalr_digraph::DigraphStats;
 pub use lookahead::LookaheadSets;
 pub use nqlalr::NqlalrAnalysis;
@@ -66,3 +66,17 @@ pub use propagation::{propagation_lookaheads, propagation_recorded};
 pub use relations::{RelationStats, Relations};
 pub use selective::{inadequate_states, selective_lookaheads, SelectiveAnalysis};
 pub use slr::slr_lookaheads;
+
+/// The kernel lane that unions rows wider than two words:
+/// `scalar-unrolled`, the one portable 4-way unrolled loop. Run
+/// metadata, `lalrgen analyze` and the daemon's `lalr_build_info` metric
+/// print it.
+pub fn kernel_dispatch_name() -> &'static str {
+    "scalar-unrolled"
+}
+
+/// Whether the build carries vector kernels: always `false`, kept
+/// because run metadata records it.
+pub fn simd_compiled() -> bool {
+    false
+}

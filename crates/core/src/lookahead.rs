@@ -1,7 +1,7 @@
 //! The common output type of every look-ahead method.
 
 use lalr_automata::{Lr0Automaton, MergedLalr, ReductionId, ReductionIndex, StateId};
-use lalr_bitset::{tile_rows, BitMatrix, BitSet, BitSetRef, RowLayout};
+use lalr_bitset::{BitMatrix, BitSet, BitSetRef, RowLayout};
 use lalr_grammar::{ProdId, Terminal};
 
 /// Look-ahead sets for every reduction point `(state, production)`.
@@ -126,58 +126,6 @@ impl LookaheadSets {
     pub fn union_words(&mut self, id: ReductionId, words: &[usize]) {
         self.present.insert(id.index());
         self.rows.union_row_with_words(id.index(), words);
-    }
-
-    /// Bulk OR of `src` matrix rows into look-ahead rows: each
-    /// `(reduction id, src row)` op performs
-    /// `rows[id] |= src.row(src_row)`, and every destination id is
-    /// recorded as present. Returns the number of row unions performed.
-    ///
-    /// This is the cache-aware batch lane behind the Digraph pipeline's
-    /// LA phase. `ops` is sorted and deduplicated in place, then swept
-    /// in destination tiles sized to L2 (see [`tile_rows`]); within a
-    /// tile the ops are re-sorted by source row so a `Follow` row
-    /// feeding many reductions stays hot across its whole run instead
-    /// of being re-fetched once per lookback edge. OR is commutative and
-    /// monotone, so the result is bit-identical to the naive per-edge
-    /// loop.
-    ///
-    /// The lane is **adaptive**: when the source matrix already fits a
-    /// single L2 tile, reordering cannot create locality that isn't
-    /// there, so the ops run as a plain per-edge loop with no sort — on
-    /// fixed-64/fixed-128 corpora the unions are a few cycles each and
-    /// sorting the op list would dominate the phase. The resulting bits
-    /// are identical; only the returned union count differs (duplicates
-    /// are not collapsed on the direct path, matching the historical
-    /// per-edge counter).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src`'s universe differs from the alphabet, or any op
-    /// names an out-of-range destination or source row.
-    pub fn union_rows_batch(&mut self, ops: &mut Vec<(u32, u32)>, src: &BitMatrix) -> u64 {
-        assert_eq!(src.cols(), self.terminals, "alphabet mismatch");
-        if src.rows() <= tile_rows(src.layout().words()) {
-            for &(dst, s) in ops.iter() {
-                self.union_words(ReductionId::new(dst as usize), src.row_words(s as usize));
-            }
-            return ops.len() as u64;
-        }
-        ops.sort_unstable();
-        ops.dedup();
-        let tile = tile_rows(self.layout().words()) as u32;
-        let mut start = 0;
-        while start < ops.len() {
-            let first_dst = ops[start].0;
-            let end = start + ops[start..].partition_point(|&(dst, _)| dst - first_dst < tile);
-            let chunk = &mut ops[start..end];
-            chunk.sort_unstable_by_key(|&(dst, s)| (s, dst));
-            for &(dst, s) in chunk.iter() {
-                self.union_words(ReductionId::new(dst as usize), src.row_words(s as usize));
-            }
-            start = end;
-        }
-        ops.len() as u64
     }
 
     /// Inserts a single terminal into the entry for `(state, prod)`.
@@ -329,42 +277,6 @@ mod tests {
             !a.agrees_with(&b),
             "an extra recorded entry breaks equality"
         );
-    }
-
-    #[test]
-    fn union_rows_batch_matches_per_edge_unions() {
-        // Ragged multi-word alphabet; duplicated ops and shared source
-        // rows exercise dedup, tiling and the source-run re-sort.
-        let terminals = 130;
-        let points: Vec<_> = (0..12)
-            .map(|i| (StateId::new(i), ProdId::new(i % 3)))
-            .collect();
-        let raw_ops: Vec<(u32, u32)> = (0..12u32)
-            .flat_map(|d| (0..5u32).map(move |s| (d, (d + s) % 5)))
-            .chain([(0, 0), (7, 3), (7, 3)]) // duplicates
-            .collect();
-
-        // A source matrix that fits one L2 tile takes the direct path
-        // (no dedup, per-edge count); one row more takes the sorted,
-        // deduplicated path.
-        let one_tile = tile_rows(RowLayout::select(terminals).words());
-        for (rows, want_unions) in [(5, 63), (one_tile + 1, 60)] {
-            let mut follow = BitMatrix::new(rows, terminals);
-            for s in 0..5 {
-                follow.set(s, s * 13);
-                follow.set(s, 64 + s);
-                follow.set(s, 129 - s);
-            }
-            let mut naive = LookaheadSets::from_points(points.clone(), terminals);
-            for &(d, s) in &raw_ops {
-                naive.union_words(ReductionId::new(d as usize), follow.row_words(s as usize));
-            }
-            let mut batched = LookaheadSets::from_points(points.clone(), terminals);
-            let mut ops = raw_ops.clone();
-            let unions = batched.union_rows_batch(&mut ops, &follow);
-            assert_eq!(unions, want_unions, "union count with {rows} source rows");
-            assert_eq!(batched, naive, "bit-identical with {rows} source rows");
-        }
     }
 
     #[test]
