@@ -10,6 +10,9 @@
 //!   expensive baseline the paper's empirical section compares against.
 //! * [`merge_lr1`] — LALR(1) by merging same-core LR(1) states, giving the
 //!   reference LALR look-ahead sets our implementation is validated against.
+//! * [`count_lr1_conflicts`] — the canonical LR(1) machine's conflicts,
+//!   counted by exploring its states as LR(0) cores with one look-ahead
+//!   row per kernel item, never building LR(1) items.
 //!
 //! # Examples
 //!
@@ -27,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cores;
 mod dot;
 mod item;
 mod lr0;
@@ -34,6 +38,7 @@ mod lr1;
 mod merge;
 mod reduction;
 
+pub use cores::{count_lr1_conflicts, Lr1ConflictCount};
 pub use item::{item_set_clone_count, Item, ItemSet};
 pub use lr0::{Lr0Automaton, NtTransId, StateId};
 pub use lr1::{Lr1Automaton, Lr1Closure, Lr1State};

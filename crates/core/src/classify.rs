@@ -1,13 +1,13 @@
 //! Grammar-class classification (the adequacy hierarchy of Table 3).
 
-use lalr_automata::{Lr0Automaton, Lr1Automaton};
+use lalr_automata::{count_lr1_conflicts, Lr0Automaton};
 use lalr_grammar::Grammar;
 
-use crate::conflicts::conflict_count;
+use crate::conflicts::{conflict_count, state_conflict_count};
 use crate::engine::LalrAnalysis;
-use crate::lookahead::LookaheadSets;
 use crate::nqlalr::NqlalrAnalysis;
 use crate::parallel::Parallelism;
+use crate::relations::Relations;
 use crate::slr::slr_lookaheads;
 
 /// The strongest class in `LR(0) ⊂ SLR(1) ⊂ LALR(1) ⊂ LR(1)` a grammar
@@ -59,11 +59,29 @@ pub struct MethodAdequacy {
     pub class: GrammarClass,
 }
 
+/// The conflicts of the LR(0) test, in closed form: every reduction
+/// answers to the whole alphabet, so a state with `s` shifted terminals
+/// and `r` reductions has `s·r` shift/reduce conflicts and, for `t`
+/// terminals, `t·r(r−1)/2` reduce/reduce ones.
+pub(crate) fn lr0_conflict_count(grammar: &Grammar, lr0: &Lr0Automaton) -> usize {
+    let terminals = grammar.terminal_count();
+    lr0.states()
+        .map(|state| {
+            let r = lr0.reductions(state).len();
+            lr0.shift_symbols(state).count() * r + terminals * r * r.saturating_sub(1) / 2
+        })
+        .sum()
+}
+
 /// An LR(0)-style look-ahead assignment: every reduction answers to the
 /// full terminal alphabet (so any state with a reduction plus anything else
-/// conflicts).
-pub(crate) fn lr0_lookaheads(grammar: &Grammar, lr0: &Lr0Automaton) -> LookaheadSets {
-    let mut las = LookaheadSets::for_automaton(lr0, grammar.terminal_count());
+/// conflicts). The reference for [`lr0_conflict_count`].
+#[cfg(test)]
+pub(crate) fn lr0_lookaheads(
+    grammar: &Grammar,
+    lr0: &Lr0Automaton,
+) -> crate::lookahead::LookaheadSets {
+    let mut las = crate::lookahead::LookaheadSets::for_automaton(lr0, grammar.terminal_count());
     let full = lalr_bitset::BitSet::full(grammar.terminal_count());
     for state in lr0.states() {
         for &prod in lr0.reductions(state) {
@@ -75,12 +93,15 @@ pub(crate) fn lr0_lookaheads(grammar: &Grammar, lr0: &Lr0Automaton) -> Lookahead
 
 /// Classifies a grammar by running all five methods.
 ///
-/// The canonical LR(1) machine is built only when the grammar has LALR(1)
-/// conflicts. Otherwise its conflict count is known to be 0 without it:
-/// every conflict of the canonical machine survives the merge of its
-/// states into their LR(0) cores, so a conflict-free LALR(1) table means a
-/// conflict-free LR(1) machine. The counts and the class are the same
-/// either way; only LALR(1)-conflicted grammars pay for the LR(1) build.
+/// The canonical LR(1) conflicts are counted without building the
+/// canonical machine: its states are explored as LR(0) cores with one
+/// look-ahead row per kernel item ([`count_lr1_conflicts`]), and only
+/// cores from which an LALR(1)-conflicted state is reachable. Every
+/// conflict of the canonical machine survives the merge of its state into
+/// its LR(0) core, so it sits on an LALR(1)-conflicted core; a grammar
+/// with no LALR(1) conflict explores nothing and has `lr1_conflicts` 0.
+/// NQLALR(1) comes from the DeRemer–Pennello relations, merged by `GOTO`
+/// target ([`NqlalrAnalysis::from_relations`]).
 ///
 /// # Examples
 ///
@@ -96,32 +117,32 @@ pub(crate) fn lr0_lookaheads(grammar: &Grammar, lr0: &Lr0Automaton) -> Lookahead
 /// ```
 pub fn classify(grammar: &Grammar) -> MethodAdequacy {
     let lr0 = Lr0Automaton::build(grammar);
-    let analysis = LalrAnalysis::compute(grammar, &lr0);
-    classify_inner(grammar, &lr0, &analysis, &lalr_obs::NULL)
+    let relations = Relations::build(grammar, &lr0);
+    let analysis = LalrAnalysis::from_relations(grammar, &lr0, &relations);
+    classify_inner(grammar, &lr0, &relations, &analysis, &lalr_obs::NULL)
 }
 
-/// Recorded analogue of [`classify_from`]: each method runs inside its own
-/// span (`classify.lalr`, `classify.lr0`, `classify.slr`,
-/// `classify.nqlalr`, and `classify.lr1` when the LR(1) machine is
-/// built).
+/// Recorded analogue of [`classify_from`] over the relations `analysis`
+/// was computed from: each method runs inside its own span
+/// (`classify.lalr`, `classify.lr0`, `classify.slr`, `classify.nqlalr`,
+/// and `classify.lr1` when some state has an LALR(1) conflict).
 pub fn classify_recorded(
     grammar: &Grammar,
     lr0: &Lr0Automaton,
+    relations: &Relations,
     analysis: &LalrAnalysis,
     rec: &dyn lalr_obs::Recorder,
 ) -> MethodAdequacy {
-    classify_inner(grammar, lr0, analysis, rec)
+    classify_inner(grammar, lr0, relations, analysis, rec)
 }
 
 /// Classifies from a prebuilt LR(0) automaton and DeRemer–Pennello
 /// analysis, running only the remaining methods: it counts the LALR(1)
-/// conflicts of `analysis`, then always runs the LR(0)/SLR/NQLALR
-/// baselines, and builds the canonical LR(1) machine only when that
-/// LALR(1) count is non-zero — with no LALR(1) conflict there is no LR(1)
-/// conflict either (see [`classify`]), so `lr1_conflicts` is 0 exactly.
-/// This is what `lalr-service` uses so a compile never recomputes the
-/// automaton or the look-ahead sets; the counts are identical to
-/// [`classify`]'s.
+/// conflicts of `analysis`, the LR(0)/SLR/NQLALR baselines, and the
+/// canonical LR(1) conflicts over the LALR(1)-conflicted cores (see
+/// [`classify`]). The relations are built once more here for NQLALR;
+/// [`classify_recorded`] takes them prebuilt. The counts are identical
+/// to [`classify`]'s.
 ///
 /// `_parallelism` is ignored — the methods always run one after another.
 /// The argument remains only so existing callers build unchanged.
@@ -131,24 +152,35 @@ pub fn classify_from(
     analysis: &LalrAnalysis,
     _parallelism: &Parallelism,
 ) -> MethodAdequacy {
-    classify_inner(grammar, lr0, analysis, &lalr_obs::NULL)
+    let relations = Relations::build(grammar, lr0);
+    classify_inner(grammar, lr0, &relations, analysis, &lalr_obs::NULL)
 }
 
-/// Counts each method's conflicts with [`conflict_count`], which never
-/// materialises them: a grammar can have millions of raw conflicts.
+/// Counts each method's conflicts without materialising them: a grammar
+/// can have millions of raw conflicts.
 fn classify_inner(
     grammar: &Grammar,
     lr0: &Lr0Automaton,
+    relations: &Relations,
     analysis: &LalrAnalysis,
     rec: &dyn lalr_obs::Recorder,
 ) -> MethodAdequacy {
-    let lalr_c = {
+    let (lalr_c, conflicted) = {
         let _span = lalr_obs::span(rec, "classify.lalr");
-        conflict_count(lr0, analysis.lookaheads())
+        let mut conflicted = Vec::new();
+        let mut count = 0;
+        for state in lr0.states() {
+            let c = state_conflict_count(lr0, analysis.lookaheads(), state);
+            if c > 0 {
+                conflicted.push(state);
+                count += c;
+            }
+        }
+        (count, conflicted)
     };
     let lr0_c = {
         let _span = lalr_obs::span(rec, "classify.lr0");
-        conflict_count(lr0, &lr0_lookaheads(grammar, lr0))
+        lr0_conflict_count(grammar, lr0)
     };
     let slr_c = {
         let _span = lalr_obs::span(rec, "classify.slr");
@@ -156,15 +188,15 @@ fn classify_inner(
     };
     let nq_c = {
         let _span = lalr_obs::span(rec, "classify.nqlalr");
-        conflict_count(lr0, NqlalrAnalysis::compute(grammar, lr0).lookaheads())
+        let nqlalr = NqlalrAnalysis::from_relations(grammar, lr0, relations);
+        conflict_count(lr0, nqlalr.lookaheads())
     };
-    // LALR(1)-adequate means LR(1)-adequate: build the canonical machine
-    // only when its conflict count is not already known to be 0.
-    let lr1_c = if lalr_c > 0 {
-        let _span = lalr_obs::span(rec, "classify.lr1");
-        Lr1Automaton::build(grammar).conflict_count()
-    } else {
+    // Canonical conflicts sit only on LALR(1)-conflicted cores.
+    let lr1_c = if conflicted.is_empty() {
         0
+    } else {
+        let _span = lalr_obs::span(rec, "classify.lr1");
+        count_lr1_conflicts(grammar, lr0, conflicted).conflicts
     };
 
     let class = if lr0_c == 0 {
@@ -251,8 +283,8 @@ mod tests {
             assert!(m.lalr_conflicts <= m.slr_conflicts, "{src}");
             // LR(1) splits states, so conflict *counts* may grow; what is
             // monotone is adequacy (conflict-freedom). Checked against the
-            // canonical machine, which `classify` skips when LALR is clean.
-            let lr1 = Lr1Automaton::build(&g).conflict_count();
+            // canonical machine, which `classify` never builds.
+            let lr1 = lalr_automata::Lr1Automaton::build(&g).conflict_count();
             assert!(m.lalr_conflicts > 0 || lr1 == 0, "{src}");
             assert_eq!(m.lr1_conflicts, lr1, "{src}");
             assert!(m.nqlalr_conflicts >= m.lalr_conflicts, "{src}");

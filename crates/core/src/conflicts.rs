@@ -132,31 +132,40 @@ pub fn find_conflicts(
 }
 
 /// The number of conflicts [`find_conflicts`] reports, counted without
-/// building, sorting or storing them: per state, the shift/reduce count is
-/// how many shifted terminals each reduction's look-ahead set holds, and
-/// the reduce/reduce count is one intersection popcount per pair of
-/// reductions. Mirrors `Lr1Automaton::conflict_count`.
+/// building, sorting or storing them. Mirrors
+/// `Lr1Automaton::conflict_count`.
 pub(crate) fn conflict_count(lr0: &Lr0Automaton, lookaheads: &LookaheadSets) -> usize {
+    lr0.states()
+        .map(|state| state_conflict_count(lr0, lookaheads, state))
+        .sum()
+}
+
+/// The conflicts [`find_conflicts`] reports in one state: how many shifted
+/// terminals each reduction's look-ahead set holds, plus one intersection
+/// popcount per pair of reductions.
+pub(crate) fn state_conflict_count(
+    lr0: &Lr0Automaton,
+    lookaheads: &LookaheadSets,
+    state: StateId,
+) -> usize {
+    let reductions = lr0.reductions(state);
     let mut count = 0;
-    for state in lr0.states() {
-        let reductions = lr0.reductions(state);
-        for (i, &p1) in reductions.iter().enumerate() {
-            let Some(la1) = lookaheads.la(state, p1) else {
-                continue;
-            };
-            count += lr0
-                .shift_symbols(state)
-                .filter(|t| la1.contains(t.index()))
-                .count();
-            for &p2 in &reductions[i + 1..] {
-                if let Some(la2) = lookaheads.la(state, p2) {
-                    count += la1
-                        .as_words()
-                        .iter()
-                        .zip(la2.as_words())
-                        .map(|(a, b)| (a & b).count_ones() as usize)
-                        .sum::<usize>();
-                }
+    for (i, &p1) in reductions.iter().enumerate() {
+        let Some(la1) = lookaheads.la(state, p1) else {
+            continue;
+        };
+        count += lr0
+            .shift_symbols(state)
+            .filter(|t| la1.contains(t.index()))
+            .count();
+        for &p2 in &reductions[i + 1..] {
+            if let Some(la2) = lookaheads.la(state, p2) {
+                count += la1
+                    .as_words()
+                    .iter()
+                    .zip(la2.as_words())
+                    .map(|(a, b)| (a & b).count_ones() as usize)
+                    .sum::<usize>();
             }
         }
     }
@@ -217,7 +226,7 @@ mod tests {
 
     #[test]
     fn conflict_count_equals_the_number_of_conflicts_found() {
-        use crate::classify::lr0_lookaheads;
+        use crate::classify::{lr0_conflict_count, lr0_lookaheads};
         use crate::nqlalr::NqlalrAnalysis;
         use crate::slr::slr_lookaheads;
         use lalr_corpus::synthetic::{random, RandomConfig};
@@ -239,6 +248,11 @@ mod tests {
         }
         for (name, g) in &grammars {
             let lr0 = Lr0Automaton::build(g);
+            assert_eq!(
+                lr0_conflict_count(g, &lr0),
+                find_conflicts(g, &lr0, &lr0_lookaheads(g, &lr0)).len(),
+                "{name}: lr0 closed form"
+            );
             for (method, la) in [
                 ("lr0", lr0_lookaheads(g, &lr0)),
                 ("slr", slr_lookaheads(g, &lr0)),

@@ -4,19 +4,23 @@
 //! simplification: instead of keeping one `Follow` set per *nonterminal
 //! transition* `(p, A)`, keep one per *target state* `r = GOTO(p, A)` —
 //! merging every `A`-transition that happens to land in the same state.
-//! The computation becomes simpler (no `includes` relation over
-//! transitions, just state-level propagation), but the merged sets are
-//! **supersets** of the true LALR(1) look-aheads: some LALR(1) grammars are
-//! spuriously rejected. [`NqlalrAnalysis`] reproduces the shortcut exactly
-//! so that experiment **E3** can exhibit the failure.
+//! The merged sets are **supersets** of the true LALR(1) look-aheads:
+//! some LALR(1) grammars are spuriously rejected. [`NqlalrAnalysis`]
+//! reproduces the shortcut exactly so that experiment **E3** can exhibit
+//! the failure.
+//!
+//! The merge is taken literally: every `reads` and `includes` edge and
+//! every lookback entry of the DeRemer–Pennello [`Relations`] is mapped
+//! from its nonterminal transition to that transition's `GOTO` target,
+//! and one Digraph pass over the merged edges gives `NQFollow`.
 
-use lalr_automata::{Lr0Automaton, ReductionId, ReductionIndex, StateId};
+use lalr_automata::{Lr0Automaton, StateId};
 use lalr_bitset::BitMatrix;
 use lalr_digraph::{digraph, Graph};
-use lalr_grammar::analysis::nullable;
-use lalr_grammar::{Grammar, Symbol, Terminal};
+use lalr_grammar::{Grammar, Terminal};
 
 use crate::lookahead::LookaheadSets;
+use crate::relations::Relations;
 
 /// The NQLALR(1) computation and its per-state follow sets.
 #[derive(Debug, Clone)]
@@ -27,7 +31,8 @@ pub struct NqlalrAnalysis {
 }
 
 impl NqlalrAnalysis {
-    /// Runs the state-merged computation.
+    /// Runs the state-merged computation, building the relations it
+    /// merges.
     ///
     /// # Examples
     ///
@@ -43,89 +48,54 @@ impl NqlalrAnalysis {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn compute(grammar: &Grammar, lr0: &Lr0Automaton) -> NqlalrAnalysis {
-        let nullable = nullable(grammar);
+        NqlalrAnalysis::from_relations(grammar, lr0, &Relations::build(grammar, lr0))
+    }
+
+    /// Runs the state-merged computation over prebuilt DeRemer–Pennello
+    /// relations:
+    ///
+    /// * `NQDR(r)` is `DR` of the transitions into `r` (the same row for
+    ///   each: the shifts of `r`, plus `$` at the accept state);
+    /// * `r` reaches `r'` when a transition into `r` reads or includes one
+    ///   into `r'`, and `NQFollow = Digraph(reaches, NQDR)`;
+    /// * `LA(q, A→ω) = ⋃ NQFollow(GOTO(p, A))` over the lookback entries
+    ///   `(p, A)` of `(q, A→ω)`.
+    pub fn from_relations(
+        grammar: &Grammar,
+        lr0: &Lr0Automaton,
+        relations: &Relations,
+    ) -> NqlalrAnalysis {
+        let nts = lr0.nt_transitions();
+        let target = |t: usize| nts[t].to.index();
         let n_states = lr0.state_count();
-        let accept = lr0.accept_state(grammar);
 
-        // NQDR(r) = shiftable terminals of r (all transitions into r merged),
-        // plus $ at the accept state.
         let mut follow = BitMatrix::new(n_states, grammar.terminal_count());
-        let mut edges = Vec::new();
-        let mut is_goto_target = vec![false; n_states];
-        for t in lr0.nt_transitions() {
-            let r = t.to.index();
-            if is_goto_target[r] {
-                continue; // already seeded — this merging is the defect
-            }
-            is_goto_target[r] = true;
-            for term in lr0.shift_symbols(t.to) {
-                follow.set(r, term.index());
-            }
-            if t.to == accept {
-                follow.set(r, Terminal::EOF.index());
-            }
+        for t in 0..nts.len() {
+            follow.union_row_with_words(target(t), relations.dr().row_words(t));
         }
-
-        // State-level reads: r --C--> r' with C nullable adds NQFollow(r) ⊇
-        // NQFollow(r').
-        for t in lr0.nt_transitions() {
-            for &(sym, to) in lr0.transitions(t.to) {
-                if let Symbol::NonTerminal(c) = sym {
-                    if nullable.contains(c) {
-                        edges.push((t.to.index(), to.index()));
-                    }
-                }
-            }
-        }
-
-        // State-level includes: for each transition (p', B) and production
-        // B → β A γ with γ nullable, GOTO(state-after-β, A) inherits
-        // NQFollow(GOTO(p', B)).
-        for t in lr0.nt_transitions() {
-            let target_b = t.to.index();
-            for &pid in grammar.productions_of(t.nt) {
-                let rhs = grammar.production(pid).rhs();
-                let mut state = t.from;
-                for (k, &sym) in rhs.iter().enumerate() {
-                    if let Symbol::NonTerminal(a) = sym {
-                        let gamma_nullable = rhs[k + 1..]
-                            .iter()
-                            .all(|&s| matches!(s, Symbol::NonTerminal(n) if nullable.contains(n)));
-                        if gamma_nullable {
-                            let r_a = lr0
-                                .transition(state, Symbol::NonTerminal(a))
-                                .expect("closure guarantees the transition");
-                            edges.push((r_a.index(), target_b));
-                        }
-                    }
-                    state = lr0.transition(state, sym).expect("viable prefix");
-                }
-            }
-        }
-
+        let edges = relations
+            .reads()
+            .edges()
+            .chain(relations.includes().edges())
+            .map(|(t, u)| (target(t), target(u)));
         digraph(&Graph::from_edges_dedup(n_states, edges), &mut follow);
 
-        // State-level lookback: LA(q, A→ω) = ⋃ NQFollow(GOTO(p, A)) over
-        // p --ω--> q. Reduction points are dense ids, so the per-point
-        // source lists are one flat pair list instead of a keyed map (and
-        // the iteration below is deterministic, in dense-id order).
-        let reductions = ReductionIndex::from_lr0(lr0);
-        let mut la = LookaheadSets::with_index(reductions.clone(), grammar.terminal_count());
-        let mut lookback: Vec<(ReductionId, StateId)> = Vec::new();
-        for t in lr0.nt_transitions() {
-            for &pid in grammar.productions_of(t.nt) {
-                let rhs = grammar.production(pid).rhs();
-                let q = lr0.walk(t.from, rhs).expect("viable prefix");
-                let rid = reductions.id(q, pid).expect("walked bodies reduce");
-                lookback.push((rid, t.to));
+        let mut la = LookaheadSets::with_index(
+            relations.reduction_index().clone(),
+            grammar.terminal_count(),
+        );
+        for (rid, transitions) in relations.lookback_entries() {
+            la.touch_id(rid);
+            for &t in transitions {
+                la.union_words(rid, follow.row_words(target(t.index())));
             }
         }
-        for &(rid, r) in &lookback {
-            la.touch_id(rid);
-            la.union_words(rid, follow.row_words(r.index()));
-        }
         // Same accept special-case as the exact algorithm.
-        la.insert(accept, lalr_grammar::ProdId::START, Terminal::EOF);
+        la.insert(
+            lr0.accept_state(grammar),
+            lalr_grammar::ProdId::START,
+            Terminal::EOF,
+        );
 
         NqlalrAnalysis { follow, la }
     }

@@ -320,9 +320,10 @@ impl Relations {
         let by_target = Graph::from_edges(
             n,
             includes_pairs
-                .into_iter()
-                .map(|(i, j)| (j as usize, i as usize)),
+                .iter()
+                .map(|&(i, j)| (j as usize, i as usize)),
         );
+        drop(includes_pairs);
         let includes = Graph::from_edges_dedup(n, by_target.edges().map(|(j, i)| (i, j)));
 
         Relations {

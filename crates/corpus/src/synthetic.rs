@@ -354,7 +354,7 @@ mod tests {
                 }
             }
         }
-        lalr_digraph::Graph::from_edges_dedup(nts.len(), edges)
+        lalr_digraph::Graph::from_edges_dedup(nts.len(), edges.iter().copied())
     }
 
     #[test]

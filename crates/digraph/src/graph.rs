@@ -49,24 +49,34 @@ impl Graph {
     }
 
     /// Builds a graph from an edge list. Parallel edges are kept, and each
-    /// node's successors are in list order.
+    /// node's successors are in list order. The list is walked twice, to
+    /// count and then to place the edges, so it is never copied.
     ///
     /// # Panics
     ///
     /// Panics if an endpoint is `>= n`.
-    pub fn from_edges<I: IntoIterator<Item = (usize, usize)>>(n: usize, edges: I) -> Self {
-        Graph::build(n, edges, false)
+    pub fn from_edges<I>(n: usize, edges: I) -> Self
+    where
+        I: IntoIterator<Item = (usize, usize)>,
+        I::IntoIter: Clone,
+    {
+        Graph::build(n, edges.into_iter(), false)
     }
 
     /// Builds a graph from an edge list, keeping only the first occurrence
     /// of each edge. Each node's successors are in the order of their
-    /// first occurrence.
+    /// first occurrence. The list is walked twice, as by
+    /// [`Graph::from_edges`].
     ///
     /// # Panics
     ///
     /// Panics if an endpoint is `>= n`.
-    pub fn from_edges_dedup<I: IntoIterator<Item = (usize, usize)>>(n: usize, edges: I) -> Self {
-        Graph::build(n, edges, true)
+    pub fn from_edges_dedup<I>(n: usize, edges: I) -> Self
+    where
+        I: IntoIterator<Item = (usize, usize)>,
+        I::IntoIter: Clone,
+    {
+        Graph::build(n, edges.into_iter(), true)
     }
 
     /// Takes a graph already in CSR form: node `u`'s successors are
@@ -105,29 +115,23 @@ impl Graph {
         Graph { offsets, targets }
     }
 
-    fn build<I: IntoIterator<Item = (usize, usize)>>(n: usize, edges: I, dedup: bool) -> Self {
-        let edges: Vec<(u32, u32)> = edges
-            .into_iter()
-            .map(|(u, v)| {
-                assert!(u < n, "source {u} out of range");
-                assert!(v < n, "target {v} out of range");
-                (u as u32, v as u32)
-            })
-            .collect();
+    fn build(n: usize, edges: impl Iterator<Item = (usize, usize)> + Clone, dedup: bool) -> Self {
         // Stable counting sort by source: count, prefix-sum, scatter with
         // `offsets[u]` as row `u`'s cursor, then shift the cursors (which
         // end on the next row's start) back into row starts.
         let mut offsets = vec![0u32; n + 1];
-        for &(u, _) in &edges {
-            offsets[u as usize + 1] += 1;
+        for (u, v) in edges.clone() {
+            assert!(u < n, "source {u} out of range");
+            assert!(v < n, "target {v} out of range");
+            offsets[u + 1] += 1;
         }
         for i in 1..=n {
             offsets[i] += offsets[i - 1];
         }
-        let mut targets = vec![0u32; edges.len()];
-        for &(u, v) in &edges {
-            let cursor = &mut offsets[u as usize];
-            targets[*cursor as usize] = v;
+        let mut targets = vec![0u32; offsets[n] as usize];
+        for (u, v) in edges {
+            let cursor = &mut offsets[u];
+            targets[*cursor as usize] = v as u32;
             *cursor += 1;
         }
         offsets.copy_within(0..n, 1);
@@ -183,7 +187,7 @@ impl Graph {
     }
 
     /// Iterates over all edges as `(source, target)` pairs, by source.
-    pub fn edges(&self) -> impl ExactSizeIterator<Item = (usize, usize)> + '_ {
+    pub fn edges(&self) -> impl ExactSizeIterator<Item = (usize, usize)> + Clone + '_ {
         let mut u = 0;
         self.targets.iter().enumerate().map(move |(k, &v)| {
             while self.offsets[u + 1] as usize <= k {

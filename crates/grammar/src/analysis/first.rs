@@ -58,7 +58,10 @@ impl FirstSets {
                 }
             }
         }
-        digraph(&Graph::from_edges_dedup(n, edges), &mut sets);
+        digraph(
+            &Graph::from_edges_dedup(n, edges.iter().copied()),
+            &mut sets,
+        );
         FirstSets {
             sets,
             nullable: nullable.clone(),

@@ -63,7 +63,10 @@ impl FollowSets {
                 }
             }
         }
-        digraph(&Graph::from_edges_dedup(n, edges), &mut sets);
+        digraph(
+            &Graph::from_edges_dedup(n, edges.iter().copied()),
+            &mut sets,
+        );
         FollowSets { sets }
     }
 

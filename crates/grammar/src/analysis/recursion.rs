@@ -44,7 +44,7 @@ pub fn left_recursive_nonterminals(grammar: &Grammar, nullable: &NullableSet) ->
             }
         }
     }
-    let graph = Graph::from_edges_dedup(n, edges);
+    let graph = Graph::from_edges_dedup(n, edges.iter().copied());
     // A is left-recursive iff it lies on a cycle of this relation.
     let scc = tarjan_scc(&graph);
     let sizes = scc.sizes();

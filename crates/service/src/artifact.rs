@@ -5,7 +5,7 @@ use std::panic::{self, AssertUnwindSafe};
 use lalr_automata::Lr0Automaton;
 use lalr_core::{
     classify_recorded, DigraphStats, LalrAnalysis, LookaheadSets, MethodAdequacy, Parallelism,
-    RelationStats,
+    RelationStats, Relations,
 };
 use lalr_grammar::Grammar;
 use lalr_obs::Recorder;
@@ -113,13 +113,23 @@ impl CompiledArtifact {
         };
         let grammar = parsed.map_err(|e| ServiceError::BadGrammar(e.to_string()))?;
         let lr0 = Lr0Automaton::build_recorded(&grammar, rec);
-        let analysis = LalrAnalysis::compute_recorded(&grammar, &lr0, rec);
+        // Classify merges these relations for NQLALR, so they are built
+        // once for both, and freed before the tables are.
+        let relations = Relations::build_recorded(&grammar, &lr0, rec);
+        let analysis = LalrAnalysis::from_relations_recorded(
+            &grammar,
+            &lr0,
+            &relations,
+            &Parallelism::sequential(),
+            rec,
+        );
         let adequacy = {
             // The per-method spans inside become nested under `classify`,
             // so the service's top-level phase list stays flat.
             let _span = lalr_obs::span(rec, "classify");
-            classify_recorded(&grammar, &lr0, &analysis, rec)
+            classify_recorded(&grammar, &lr0, &relations, &analysis, rec)
         };
+        drop(relations);
         let relations = analysis.relation_stats().clone();
         let reads = analysis.reads_traversal().clone();
         let includes = analysis.includes_traversal().clone();

@@ -37,13 +37,14 @@ const ESCAPES: &[&str] = &[
 ];
 
 /// Values for `deadline_ms`, `limit` and `slow_us` outside what the
-/// decoder accepts: negative, fractional, past 2^53, overflowing f64,
-/// and of the wrong type.
+/// decoder accepts: negative, fractional, past 2^53 (the first with no
+/// f64 of its own), overflowing f64, and of the wrong type.
 const OUT_OF_RANGE: &[&str] = &[
     "-1",
     "0.5",
     "1e300",
     "1e999",
+    "9007199254740993",
     "9007199254740994",
     "18446744073709551616",
     "\"5\"",
@@ -215,6 +216,17 @@ impl Rng {
             }
         }
         out
+    }
+}
+
+#[test]
+fn out_of_range_numbers_are_refused() {
+    for field in ["deadline_ms", "limit", "slow_us"] {
+        for value in OUT_OF_RANGE {
+            let line = format!("{{\"op\":\"trace\",\"{field}\":{value}}}");
+            let decoded = serde_json::from_str(&line).map(|v| request_from_value(&v));
+            assert!(!matches!(decoded, Ok(Ok(_))), "{line} decoded");
+        }
     }
 }
 
