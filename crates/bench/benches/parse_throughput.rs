@@ -2,7 +2,8 @@
 //! vs compressed tables, and through `to_sexpr` on the trees it builds —
 //! including one document whose tree is as deep as it is long — plus the
 //! service lane's per-document work on c_subset sentences: words through
-//! a name map, the parse, and the rendering.
+//! a name map, the parse, and the rendering — and the encoding of a
+//! c_subset parse reply by the `Value` encoder and by the direct writer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lalr_automata::Lr0Automaton;
@@ -107,5 +108,49 @@ fn bench_parse(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_parse);
+/// One parse reply of 32 c_subset sentences, encoded as the daemon's
+/// `Value` encoder did (`value_line`, the oracle) and by the direct
+/// writer (`direct_line`, which consumes its reply, so each iteration
+/// pays a clone that `reply_clone` measures alone); per token.
+fn bench_reply_encode(c: &mut Criterion) {
+    use lalr_service::protocol::{response_into_line, response_to_line};
+    use lalr_service::{GrammarFormat, ParseTarget, Request, Service, ServiceConfig};
+    let mut group = c.benchmark_group("reply_encode");
+    group.sample_size(30);
+    group.measurement_time(std::time::Duration::from_secs(3));
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    let entry = lalr_corpus::by_name("c_subset").expect("exists");
+    let grammar = entry.grammar();
+    let documents: Vec<String> = lalr_corpus::sentences::generate_many(&grammar, 0xC5B, 32, 200)
+        .iter()
+        .map(|s| {
+            let words: Vec<&str> = s.iter().map(|&t| grammar.terminal_name(t)).collect();
+            words.join(" ")
+        })
+        .collect();
+    let words: usize = documents.iter().map(|d| d.split_whitespace().count()).sum();
+    let service = Service::new(ServiceConfig::default());
+    let reply = service.call(
+        Request::Parse {
+            target: ParseTarget::Text {
+                grammar: entry.source.to_string(),
+                format: GrammarFormat::Native,
+            },
+            documents,
+            recover: false,
+            sync: Vec::new(),
+        },
+        None,
+    );
+    assert!(reply.is_ok(), "{reply:?}");
+    group.throughput(Throughput::Elements(words as u64));
+    group.bench_function("value_line", |b| b.iter(|| response_to_line(&reply)));
+    group.bench_function("direct_line", |b| {
+        b.iter(|| response_into_line(reply.clone()))
+    });
+    group.bench_function("reply_clone", |b| b.iter(|| reply.clone()));
+    group.finish();
+}
+
+criterion_group!(benches, bench_parse, bench_reply_encode);
 criterion_main!(benches);

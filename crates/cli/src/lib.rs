@@ -416,6 +416,25 @@ fn cmd_sentences(args: &[String]) -> Result<String, CliError> {
 /// Runs a case file: each non-comment line is `+ tokens…` (must accept)
 /// or `- tokens…` (must reject); tokens are whitespace-separated terminal
 /// names. Exit is nonzero when any case fails.
+/// Refuses a table on which the parser would reduce forever.
+fn refuse_reduce_loop(
+    grammar: &Grammar,
+    lr0: &Lr0Automaton,
+    table: &lalr_tables::ParseTable,
+) -> Result<(), CliError> {
+    let gotos = lr0
+        .nt_transitions()
+        .iter()
+        .map(|t| (t.from.index(), t.nt, t.to.index()));
+    if !lalr_runtime::may_reduce_forever(grammar, lr0.state_count(), gotos) {
+        return Ok(());
+    }
+    match lalr_runtime::reduce_loop(table) {
+        Some(found) => Err(fail(found.message(table))),
+        None => Ok(()),
+    }
+}
+
 fn cmd_check(args: &[String]) -> Result<String, CliError> {
     let name = grammar_arg(args, "check")?;
     let grammar = load_grammar(name)?;
@@ -433,6 +452,7 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
         analysis.lookaheads(),
         TableOptions::default(),
     );
+    refuse_reduce_loop(&grammar, &lr0, &table)?;
     let parser = Parser::new(&table);
     let names = lalr_runtime::terminal_index(&table);
 
@@ -444,15 +464,15 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let (expect_accept, rest) = match line.split_at(1) {
-            ("+", rest) => (true, rest),
-            ("-", rest) => (false, rest),
-            _ => {
-                return Err(fail(format!(
-                    "{cases_path}:{}: lines start with + or -",
-                    lineno + 1
-                )))
-            }
+        let (expect_accept, rest) = if let Some(rest) = line.strip_prefix('+') {
+            (true, rest)
+        } else if let Some(rest) = line.strip_prefix('-') {
+            (false, rest)
+        } else {
+            return Err(fail(format!(
+                "{cases_path}:{}: lines start with + or -",
+                lineno + 1
+            )));
         };
         total += 1;
         let mut tokens = Vec::new();
@@ -542,6 +562,7 @@ fn cmd_parse(args: &[String]) -> Result<String, CliError> {
         TableOptions::default(),
     );
 
+    refuse_reduce_loop(&grammar, &lr0, &table)?;
     let mut builder = Lexer::for_table(&table);
     for (flag, terminal) in classes {
         builder = match flag {

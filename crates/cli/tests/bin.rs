@@ -308,3 +308,33 @@ fn grammar_file_workflow() {
     let out = lalrgen(&["parse", p, "a b b"]);
     assert_eq!(out.status.code(), Some(1));
 }
+
+/// Case files: `+`/`-` lines name terminals verbatim, non-ASCII ones
+/// included, and a line that starts with neither is an error, also when
+/// its first character is more than one byte.
+#[test]
+fn check_reads_non_ascii_cases_and_rejects_unmarked_lines() {
+    let dir = std::env::temp_dir().join(format!("lalrgen_check_test_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let grammar = dir.join("e.g");
+    std::fs::write(&grammar, "s : \"é\" t ; t : \"x\" ;").unwrap();
+    let g = grammar.to_str().unwrap();
+    let cases = dir.join("cases.txt");
+    std::fs::write(&cases, "+ é x\n- Ã© x\n- x\n").unwrap();
+    let out = lalrgen(&["check", g, cases.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!stdout.contains("FAIL"), "{stdout}");
+
+    std::fs::write(&cases, "+ x\né x\n").unwrap();
+    let out = lalrgen(&["check", g, cases.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(":2: lines start with + or -"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -42,6 +42,7 @@ impl TokenKind {
 }
 
 pub(crate) struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
     line: u32,
@@ -51,6 +52,7 @@ pub(crate) struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     pub fn new(src: &'a str) -> Self {
         Lexer {
+            text: src,
             src: src.as_bytes(),
             pos: 0,
             line: 1,
@@ -122,6 +124,13 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// The source text from `start` to the current position. Every
+    /// token ends at an ASCII byte or at the end of the text, so both
+    /// ends are char boundaries.
+    fn slice(&self, start: usize) -> String {
+        self.text[start..self.pos].to_string()
+    }
+
     fn is_ident_byte(b: u8) -> bool {
         b.is_ascii_alphanumeric() || b == b'_' || b == b'\'' || b == b'.'
     }
@@ -150,23 +159,18 @@ impl<'a> Lexer<'a> {
             }
             b'%' => {
                 self.bump();
-                let mut name = String::new();
-                while let Some(b) = self.peek() {
-                    if Self::is_ident_byte(b) {
-                        name.push(b as char);
-                        self.bump();
-                    } else {
-                        break;
-                    }
+                let start = self.pos;
+                while self.peek().is_some_and(Self::is_ident_byte) {
+                    self.bump();
                 }
-                Ok(tok(TokenKind::Directive(name)))
+                Ok(tok(TokenKind::Directive(self.slice(start))))
             }
             b'"' | b'\'' => {
                 let quote = b;
                 self.bump();
-                let mut name = String::new();
+                let start = self.pos;
                 loop {
-                    match self.bump() {
+                    match self.peek() {
                         None | Some(b'\n') => {
                             return Err(GrammarError::Parse {
                                 line,
@@ -175,23 +179,25 @@ impl<'a> Lexer<'a> {
                             })
                         }
                         Some(b) if b == quote => break,
-                        Some(b) => name.push(b as char),
+                        Some(_) => {
+                            self.bump();
+                        }
                     }
                 }
+                let name = self.slice(start);
+                self.bump();
                 Ok(tok(TokenKind::Name(name)))
             }
             b if Self::is_ident_byte(b) || !b.is_ascii() => {
-                let mut name = String::new();
-                // Accept UTF-8 identifier bytes verbatim.
-                while let Some(b) = self.peek() {
-                    if Self::is_ident_byte(b) || !b.is_ascii() {
-                        name.push(b as char);
-                        self.bump();
-                    } else {
-                        break;
-                    }
+                // UTF-8 identifier bytes are taken verbatim.
+                let start = self.pos;
+                while self
+                    .peek()
+                    .is_some_and(|b| Self::is_ident_byte(b) || !b.is_ascii())
+                {
+                    self.bump();
                 }
-                Ok(tok(TokenKind::Name(name)))
+                Ok(tok(TokenKind::Name(self.slice(start))))
             }
             other => Err(self.error(ParseErrorKind::UnexpectedChar(other as char))),
         }
@@ -304,6 +310,29 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn multi_byte_identifiers_and_literals_are_read_verbatim() {
+        let toks = lex_all("größe : \"é\" 'ж€' naïve_😀 ;");
+        assert_eq!(
+            toks,
+            vec![
+                TokenKind::Name("größe".into()),
+                TokenKind::Colon,
+                TokenKind::Name("é".into()),
+                TokenKind::Name("ж€".into()),
+                TokenKind::Name("naïve_😀".into()),
+                TokenKind::Semi,
+                TokenKind::Eof,
+            ]
+        );
+        let g = crate::parse_grammar("s : \"é\" x ; x : 'ü' | größe ; größe : \"😀\" ;").unwrap();
+        for name in ["é", "ü", "😀"] {
+            assert!(g.terminal_by_name(name).is_some(), "{name}");
+        }
+        assert!(g.nonterminal_by_name("größe").is_some());
+        assert!(g.terminal_by_name("Ã©").is_none());
     }
 
     #[test]

@@ -82,6 +82,16 @@ impl<'a> YaccReader<'a> {
         self.bytes.get(self.pos + 1).copied()
     }
 
+    /// The character at the current position, for error reports (`?` at
+    /// the end of input). Scans stop only at ASCII bytes, so the position
+    /// is a char boundary.
+    fn peek_char(&self) -> char {
+        self.src
+            .get(self.pos..)
+            .and_then(|rest| rest.chars().next())
+            .unwrap_or('?')
+    }
+
     fn bump(&mut self) -> Option<u8> {
         let b = self.peek()?;
         self.pos += 1;
@@ -150,37 +160,47 @@ impl<'a> YaccReader<'a> {
         self.src[start..self.pos].to_string()
     }
 
-    /// `'+'`, `'\n'`, `"if"` — returns the literal's symbol name.
+    /// `'+'`, `'\n'`, `"if"` — returns the literal's symbol name. Runs
+    /// between escapes are sliced from the source text: they end at ASCII
+    /// bytes, so on char boundaries.
     fn read_literal(&mut self) -> Result<String, GrammarError> {
         let quote = self.bump().expect("caller saw the quote");
         let (line, col) = (self.line, self.col);
+        let unterminated = GrammarError::Parse {
+            line,
+            col,
+            kind: ParseErrorKind::UnterminatedLiteral,
+        };
         let mut name = String::new();
+        let mut run = self.pos;
         loop {
-            match self.bump() {
-                None => {
-                    return Err(GrammarError::Parse {
-                        line,
-                        col,
-                        kind: ParseErrorKind::UnterminatedLiteral,
-                    })
-                }
+            match self.peek() {
+                None => return Err(unterminated),
                 Some(b'\\') => {
-                    // Keep escapes readable as two-character names.
-                    match self.bump() {
-                        Some(b'n') => name.push('\n'),
-                        Some(b't') => name.push('\t'),
-                        Some(b) => name.push(b as char),
-                        None => {
-                            return Err(GrammarError::Parse {
-                                line,
-                                col,
-                                kind: ParseErrorKind::UnterminatedLiteral,
-                            })
-                        }
+                    name.push_str(&self.src[run..self.pos]);
+                    self.bump();
+                    // `\n` and `\t` name their control character; any
+                    // other escaped char names itself.
+                    let escaped = match self.src[self.pos..].chars().next() {
+                        None => return Err(unterminated),
+                        Some('n') => '\n',
+                        Some('t') => '\t',
+                        Some(c) => c,
+                    };
+                    name.push(escaped);
+                    for _ in 0..escaped.len_utf8() {
+                        self.bump();
                     }
+                    run = self.pos;
                 }
-                Some(b) if b == quote => return Ok(name),
-                Some(b) => name.push(b as char),
+                Some(b) if b == quote => {
+                    name.push_str(&self.src[run..self.pos]);
+                    self.bump();
+                    return Ok(name);
+                }
+                Some(_) => {
+                    self.bump();
+                }
             }
         }
     }
@@ -305,9 +325,7 @@ impl<'a> YaccReader<'a> {
                         }
                     }
                 }
-                Some(other) => {
-                    return Err(self.error(ParseErrorKind::UnexpectedChar(other as char)))
-                }
+                Some(_) => return Err(self.error(ParseErrorKind::UnexpectedChar(self.peek_char()))),
             }
         }
     }
@@ -357,14 +375,13 @@ impl<'a> YaccReader<'a> {
             // LHS ident then ':'.
             let lhs = self.read_ident();
             if lhs.is_empty() {
-                let found = self.peek().map(|b| b as char).unwrap_or('?');
-                return Err(self.error(ParseErrorKind::UnexpectedChar(found)));
+                return Err(self.error(ParseErrorKind::UnexpectedChar(self.peek_char())));
             }
             self.skip_ws_and_comments()?;
             if self.peek() != Some(b':') {
                 return Err(self.error(ParseErrorKind::Expected {
                     wanted: "':'".to_string(),
-                    found: format!("{:?}", self.peek().map(|b| b as char)),
+                    found: format!("{:?}", self.peek().map(|_| self.peek_char())),
                 }));
             }
             self.bump();
@@ -409,8 +426,8 @@ impl<'a> YaccReader<'a> {
                     }
                     // yacc allows rules terminated by the next rule: `a : b
                     // c : d` is invalid in our subset — require ; or |.
-                    Some(other) => {
-                        return Err(self.error(ParseErrorKind::UnexpectedChar(other as char)))
+                    Some(_) => {
+                        return Err(self.error(ParseErrorKind::UnexpectedChar(self.peek_char())))
                     }
                     None => {
                         // Accept an unterminated final rule (bison does).
@@ -503,6 +520,21 @@ int main(void) { return yyparse(); }
         assert!(g.terminal_by_name("\n").is_some());
         assert!(g.terminal_by_name("\t").is_some());
         assert!(g.terminal_by_name("\\").is_some());
+    }
+
+    #[test]
+    fn multi_byte_identifiers_and_literals_are_read_verbatim() {
+        let g =
+            parse_yacc("%token NUM\n%%\ns : 'é' \"größe\" '\\ж' x ;\nx : \"😀\" NUM ;\n").unwrap();
+        for name in ["é", "größe", "ж", "😀"] {
+            assert!(g.terminal_by_name(name).is_some(), "{name}");
+        }
+        assert!(g.terminal_by_name("Ã©").is_none());
+        let err = parse_yacc("%%\né : 'x' ;\n").unwrap_err();
+        assert!(
+            err.to_string().contains("unexpected character 'é'"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -148,6 +148,17 @@ impl WriteBuf {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Queues `bytes` for transmission, taking the buffer itself instead
+    /// of copying it when nothing else is pending.
+    pub fn queue_owned(&mut self, bytes: Vec<u8>) {
+        if self.is_empty() {
+            self.buf = bytes;
+            self.cursor = 0;
+        } else {
+            self.buf.extend_from_slice(&bytes);
+        }
+    }
+
     /// Writes as much queued data as `dst` accepts. Returns `true`
     /// when the buffer drained completely; `false` means the socket
     /// blocked and the caller should wait for a writable edge.
@@ -267,24 +278,25 @@ mod tests {
         );
     }
 
+    /// A Write that accepts a byte budget then blocks.
+    struct Choked(Vec<u8>, usize);
+    impl Write for Choked {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.1 == 0 {
+                return Err(io::Error::from(io::ErrorKind::WouldBlock));
+            }
+            let n = buf.len().min(self.1);
+            self.0.extend_from_slice(&buf[..n]);
+            self.1 -= n;
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn write_buf_carries_partial_writes() {
-        struct Choked(Vec<u8>, usize);
-        impl Write for Choked {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                if self.1 == 0 {
-                    return Err(io::Error::from(io::ErrorKind::WouldBlock));
-                }
-                let n = buf.len().min(self.1);
-                self.0.extend_from_slice(&buf[..n]);
-                self.1 -= n;
-                Ok(n)
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-
         let mut w = WriteBuf::new();
         w.queue(b"hello world\n");
         let mut dst = Choked(Vec::new(), 4);
@@ -294,5 +306,21 @@ mod tests {
         assert!(w.flush(&mut dst).unwrap());
         assert_eq!(dst.0, b"hello world\n");
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn owned_bytes_are_adopted_when_idle_and_appended_behind_a_tail() {
+        let mut w = WriteBuf::new();
+        let line = b"first\n".to_vec();
+        let at = line.as_ptr();
+        w.queue_owned(line);
+        assert_eq!(w.buf.as_ptr(), at, "an idle buffer adopts the line");
+        let mut dst = Choked(Vec::new(), 3);
+        assert!(!w.flush(&mut dst).unwrap());
+        w.queue_owned(b"second\n".to_vec());
+        assert_eq!(w.pending_bytes(), "st\nsecond\n".len());
+        dst.1 = usize::MAX;
+        assert!(w.flush(&mut dst).unwrap());
+        assert_eq!(dst.0, b"first\nsecond\n");
     }
 }

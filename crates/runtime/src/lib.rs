@@ -11,6 +11,9 @@
 //!   through [`Subtree`] views.
 //! * [`ParseError`] — positioned errors listing the expected terminals.
 //! * Panic-mode error recovery via [`Parser::parse_with_recovery`].
+//! * [`reduce_loop`] — finds the conflict-resolved tables on which the
+//!   parser would reduce forever, once per table, so callers can refuse
+//!   them instead of counting the parser's steps.
 //!
 //! # Examples
 //!
@@ -36,12 +39,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cycle;
 mod error;
 mod lexer;
 mod parser;
 mod token;
 mod tree;
 
+pub use cycle::{may_reduce_forever, reduce_loop, ReduceLoop};
 pub use error::{LexError, ParseError};
 pub use lexer::{terminal_index, Lexer, LexerBuilder};
 pub use parser::{ActionSource, CompressedSource, Parser};

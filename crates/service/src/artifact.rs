@@ -9,6 +9,7 @@ use lalr_core::{
 };
 use lalr_grammar::Grammar;
 use lalr_obs::Recorder;
+use lalr_runtime::ReduceLoop;
 use lalr_store::ArtifactRecord;
 use lalr_tables::{build_table, CompressedTable, ParseTable, TableOptions};
 
@@ -58,6 +59,9 @@ pub struct CompiledArtifact {
     compressed: CompressedTable,
     approx_bytes: usize,
     extras: Option<PipelineExtras>,
+    /// Where the table makes the parser reduce forever, found at compile
+    /// time (see [`CompiledArtifact::reduce_loop`]).
+    reduce_loop: Option<ReduceLoop>,
 }
 
 impl CompiledArtifact {
@@ -144,6 +148,15 @@ impl CompiledArtifact {
             let compressed = CompressedTable::from_dense(&table);
             (table, compressed)
         };
+        // Whether the parser can reduce forever on this table is settled
+        // once, here; the grammar rules nearly every table out unread.
+        let gotos = lr0
+            .nt_transitions()
+            .iter()
+            .map(|t| (t.from.index(), t.nt, t.to.index()));
+        let reduce_loop = lalr_runtime::may_reduce_forever(&grammar, lr0.state_count(), gotos)
+            .then(|| lalr_runtime::reduce_loop(&table))
+            .flatten();
         let mut artifact = CompiledArtifact {
             fingerprint,
             states: lr0.state_count(),
@@ -161,6 +174,7 @@ impl CompiledArtifact {
                 lr0,
                 lookaheads: analysis.into_lookaheads(),
             }),
+            reduce_loop,
         };
         artifact.approx_bytes = artifact.estimate_bytes();
         Ok(artifact)
@@ -226,6 +240,9 @@ impl CompiledArtifact {
             compressed: record.compressed,
             approx_bytes: record.approx_bytes as usize,
             extras: None,
+            reduce_loop: record
+                .reduce_loop
+                .map(|(state, terminal)| ReduceLoop { state, terminal }),
         }
     }
 
@@ -246,6 +263,7 @@ impl CompiledArtifact {
             includes: self.includes.clone(),
             table: self.table.clone(),
             compressed: self.compressed.clone(),
+            reduce_loop: self.reduce_loop.map(|l| (l.state, l.terminal)),
         }
     }
 
@@ -309,6 +327,14 @@ impl CompiledArtifact {
     /// The dense ACTION/GOTO table (conflicts resolved yacc-style).
     pub fn table(&self) -> &ParseTable {
         &self.table
+    }
+
+    /// Where the table would make the parser reduce forever, if anywhere
+    /// ([`lalr_runtime::reduce_loop`], searched at compile time only when
+    /// [`lalr_runtime::may_reduce_forever`] allows it, and stored with the
+    /// artifact). The parse op refuses such a table.
+    pub fn reduce_loop(&self) -> Option<ReduceLoop> {
+        self.reduce_loop
     }
 
     /// The default-reduction-compressed table.

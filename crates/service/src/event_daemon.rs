@@ -6,10 +6,11 @@
 //! wrapper, which exists only on x86-64 Linux; elsewhere
 //! [`EventDaemon::start`] fails with `Unsupported`. Compute happens on
 //! the service's worker pool — a request is submitted with
-//! [`Service::submit`] and its response comes back through a per-shard
-//! completion queue plus an eventfd wake — so a shard thread never
-//! blocks on a compile, and the pool bounds concurrent compiles
-//! regardless of connection count. Requests on one connection stay
+//! [`Service::submit`] and its response comes back, already encoded by
+//! the worker, through a per-shard completion queue plus an eventfd
+//! wake — so a shard thread never blocks on a compile or spends time
+//! encoding a reply, and the pool bounds concurrent compiles regardless
+//! of connection count. Requests on one connection stay
 //! strictly serialized (a pipelined second line waits for the first
 //! response), so each response line is the serialization of what
 //! [`Service::call`] returns for the same request.
@@ -176,13 +177,32 @@ struct ShardTotals {
 
 /// Work handed to a shard from outside its thread: freshly accepted
 /// connections (from shard 0's acceptor, with their admission guards)
-/// and completed responses (from service workers). Paired with the
-/// shard's waker. The inbox lives in [`Shared`], so work queued while
-/// a crashed shard respawns is picked up by the next incarnation.
+/// and encoded replies (from service workers). Paired with the shard's
+/// waker. The inbox lives in [`Shared`], so work queued while a crashed
+/// shard respawns is picked up by the next incarnation.
 #[derive(Default)]
 struct Inbox {
     conns: Vec<(TcpStream, PeerGuard)>,
-    completions: Vec<(u64, Response)>,
+    completions: Vec<(u64, Completion)>,
+}
+
+/// A reply as the worker that produced it hands it back: already
+/// encoded, so the shard only moves bytes.
+struct Completion {
+    /// The reply line, framing newline included.
+    line: String,
+    /// The reply is not an error (the trace's error flag).
+    ok: bool,
+    /// When the worker began encoding: the trace's write stage starts
+    /// here, so it covers the encode as well as the write-back.
+    encode_started: Instant,
+}
+
+/// Encodes a reply as one framed line.
+fn wire_line(response: Response) -> String {
+    let mut line = response_into_line(response);
+    line.push('\n');
+    line
 }
 
 struct Shared {
@@ -758,8 +778,8 @@ impl Shard {
         for (stream, guard) in new_conns {
             self.install(stream, guard);
         }
-        for (token, response) in completions {
-            self.on_completion(token, response);
+        for (token, completion) in completions {
+            self.on_completion(token, completion);
         }
     }
 
@@ -851,12 +871,12 @@ impl Shard {
                 }
                 LineEvent::Oversize => {
                     let limit = self.shared.config.max_line_bytes;
-                    let ok = self.queue_response(
+                    let ok = self.queue_error(
                         token,
-                        Response::Error(ServiceError::TooLarge {
+                        ServiceError::TooLarge {
                             size: limit + 1,
                             limit,
-                        }),
+                        },
                     );
                     if let Some(conn) = self.conns.get_mut(&token) {
                         // Close, but only after the remainder of the
@@ -904,11 +924,11 @@ impl Shard {
                                 .rejects_rate_limit
                                 .fetch_add(1, Ordering::Relaxed);
                             let rate = self.shared.config.rate_limit_per_sec;
-                            let ok = self.queue_response(
+                            let ok = self.queue_error(
                                 token,
-                                Response::Error(ServiceError::Throttled(format!(
+                                ServiceError::Throttled(format!(
                                     "request rate limit ({rate}/s) exceeded; retry after backoff"
-                                ))),
+                                )),
                             );
                             self.flush(token);
                             if !ok {
@@ -925,11 +945,11 @@ impl Shard {
                                 .daemon
                                 .rejects_failpoint
                                 .fetch_add(1, Ordering::Relaxed);
-                            let ok = self.queue_response(
+                            let ok = self.queue_error(
                                 token,
-                                Response::Error(ServiceError::Throttled(
+                                ServiceError::Throttled(
                                     "injected fault at daemon.admit".to_string(),
-                                )),
+                                ),
                             );
                             self.flush(token);
                             if !ok {
@@ -952,7 +972,7 @@ impl Shard {
                     let (request, deadline) = match parsed {
                         Ok(p) => p,
                         Err(e) => {
-                            let ok = self.queue_response(token, Response::Error(e));
+                            let ok = self.queue_error(token, e);
                             self.flush(token);
                             if !ok {
                                 return;
@@ -980,9 +1000,19 @@ impl Shard {
                     self.shared
                         .service
                         .submit_traced(request, deadline, trace, move |response| {
+                            // Runs on the worker: the reply leaves it as
+                            // wire bytes.
+                            let encode_started = Instant::now();
+                            let ok = response.is_ok();
+                            let line = wire_line(response);
+                            let completion = Completion {
+                                line,
+                                ok,
+                                encode_started,
+                            };
                             lock(&shared.inboxes[shard])
                                 .completions
-                                .push((token, response));
+                                .push((token, completion));
                             let _ = shared.wakers[shard].wake();
                         });
                     return;
@@ -991,7 +1021,7 @@ impl Shard {
         }
     }
 
-    fn on_completion(&mut self, token: u64, response: Response) {
+    fn on_completion(&mut self, token: u64, completion: Completion) {
         let Some(conn) = self.conns.get_mut(&token) else {
             // The connection died while its request executed (close,
             // timeout, or a shard crash); the response has nowhere to
@@ -1002,13 +1032,12 @@ impl Shard {
         let is_shutdown = std::mem::take(&mut conn.in_flight_shutdown);
         let suppressed = std::mem::take(&mut conn.suppress_response);
         if let Some(tr) = conn.trace.as_mut() {
-            if !response.is_ok() {
+            if !completion.ok {
                 tr.active.set_error();
             }
-            // Write-back starts now: the response is about to be queued
-            // (or dropped); `flush` stamps the stage when the buffer
-            // drains.
-            tr.write_started = Some(Instant::now());
+            // The write stage began when the worker began encoding;
+            // `flush` stamps it when the buffer drains.
+            tr.write_started = Some(completion.encode_started);
         }
         if suppressed {
             // Injected truncation: the request executed but the client
@@ -1019,7 +1048,7 @@ impl Shard {
             self.close(token);
             return;
         }
-        let ok = self.queue_response(token, response);
+        let ok = self.queue_line(token, completion.line);
         if is_shutdown {
             self.trigger_shutdown();
             if let Some(conn) = self.conns.get_mut(&token) {
@@ -1037,16 +1066,21 @@ impl Shard {
         }
     }
 
-    /// Serializes and queues one response line, applying the
-    /// `daemon.write` failpoint. The response is consumed: a parse
-    /// reply's trees move into the encoder rather than being copied.
-    /// Returns `false` when the fault consumed or cut the response (the
-    /// connection is then marked to close after flushing).
-    fn queue_response(&mut self, token: u64, response: Response) -> bool {
+    /// Encodes and queues an error the shard answers itself (see
+    /// [`Shard::queue_line`]).
+    fn queue_error(&mut self, token: u64, error: ServiceError) -> bool {
+        self.queue_line(token, wire_line(Response::Error(error)))
+    }
+
+    /// Queues one framed reply line, applying the `daemon.write`
+    /// failpoint. The line's buffer is adopted, not copied, when nothing
+    /// else is pending. Returns `false` when the fault consumed or cut
+    /// the response (the connection is then marked to close after
+    /// flushing).
+    fn queue_line(&mut self, token: u64, line: String) -> bool {
         let Some(conn) = self.conns.get_mut(&token) else {
             return false;
         };
-        let line = response_into_line(response);
         match self.shared.config.faults.at("daemon.write") {
             Some(Fault::Error) => {
                 // Response eaten whole.
@@ -1054,18 +1088,18 @@ impl Shard {
                 return false;
             }
             Some(Fault::PartialWrite) => {
-                // Half the bytes, no newline: the client sees a line
-                // cut mid-way and must report a distinct `closed` error.
+                // Half the line's bytes, no newline: the client sees a
+                // line cut mid-way and must report a distinct `closed`
+                // error.
                 let bytes = line.as_bytes();
-                conn.out.queue(&bytes[..bytes.len() / 2]);
+                conn.out.queue(&bytes[..(bytes.len() - 1) / 2]);
                 conn.close_after_flush = true;
                 return false;
             }
             Some(Fault::Delay(ms)) => std::thread::sleep(Duration::from_millis(ms)),
             _ => {}
         }
-        conn.out.queue(line.as_bytes());
-        conn.out.queue(b"\n");
+        conn.out.queue_owned(line.into_bytes());
         true
     }
 

@@ -624,21 +624,173 @@ pub fn response_to_line(response: &Response) -> String {
 }
 
 /// Encodes a response as one protocol line, byte-identical to
-/// [`response_to_line`], consuming it: each parse verdict's tree moves
-/// into the encoded value instead of being copied, so a reply holds its
-/// trees twice (value and line) at its peak, not three times.
-pub(crate) fn response_into_line(response: Response) -> String {
-    let Response::Parse(mut p) = response else {
-        return response_to_line(&response);
-    };
-    let docs = std::mem::take(&mut p.docs)
-        .into_iter()
-        .map(|mut v| {
-            let tree = v.tree.take().map(Value::Str);
-            verdict_to_value(&v, tree)
-        })
-        .collect();
-    parse_to_value(&p, docs).to_string()
+/// [`response_to_line`], consuming it. A parse reply is written straight
+/// into one `String` sized up front, with room left for the framing
+/// newline, and each verdict's tree is dropped as soon as it is copied;
+/// no [`Value`] tree is built. Other replies go through
+/// [`response_to_line`].
+pub fn response_into_line(response: Response) -> String {
+    match response {
+        Response::Parse(p) => parse_into_line(p),
+        other => response_to_line(&other),
+    }
+}
+
+/// The direct writer behind [`response_into_line`] for parse replies.
+/// Keys are written in the sorted order the shim's objects serialize in.
+fn parse_into_line(p: ParseBatchSummary) -> String {
+    let mut out = String::with_capacity(parse_line_capacity(&p));
+    out.push_str("{\"cached\":");
+    out.push_str(if p.cached { "true" } else { "false" });
+    out.push_str(",\"docs\":[");
+    for (i, v) in p.docs.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"accepted\":");
+        out.push_str(if v.accepted { "true" } else { "false" });
+        if let Some(e) = &v.error {
+            out.push_str(",\"error\":{\"expected\":[");
+            for (j, name) in e.expected.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                push_escaped(&mut out, name);
+            }
+            out.push(']');
+            if let Some(found) = &e.found {
+                out.push_str(",\"found\":");
+                push_escaped(&mut out, found);
+            }
+            out.push_str(",\"message\":");
+            push_escaped(&mut out, &e.message);
+            out.push_str(",\"offset\":");
+            push_u64(&mut out, e.offset);
+            out.push('}');
+        }
+        if v.error_count > 0 {
+            out.push_str(",\"errors\":");
+            push_u64(&mut out, v.error_count);
+        }
+        out.push_str(",\"leaves\":");
+        push_u64(&mut out, v.leaves);
+        out.push_str(",\"nodes\":");
+        push_u64(&mut out, v.nodes);
+        if let Some(tree) = v.tree {
+            out.push_str(",\"tree\":");
+            push_escaped(&mut out, &tree);
+        }
+        out.push('}');
+    }
+    out.push_str("],\"fingerprint\":");
+    push_escaped(&mut out, &p.fingerprint);
+    out.push_str(",\"ok\":true,\"op\":\"parse\"}");
+    out
+}
+
+/// The bytes a parse reply needs when none of its strings has a byte to
+/// escape, plus one for the framing newline. Counts are budgeted at their
+/// widest, 20 digits.
+fn parse_line_capacity(p: &ParseBatchSummary) -> usize {
+    // `{"cached":false,"docs":[` … `],"fingerprint":"",` … `}` and `\n`.
+    const REPLY: usize = 64;
+    // `{"accepted":false,"leaves":,"nodes":,"tree":""},` and two counts.
+    const VERDICT: usize = 48 + 2 * 20;
+    // `,"error":{"expected":[],"found":"","message":"","offset":}` and
+    // `,"errors":` with their counts.
+    const ERROR: usize = 72 + 2 * 20;
+    p.docs.iter().fold(REPLY + p.fingerprint.len(), |n, v| {
+        let tree = v.tree.as_ref().map_or(0, String::len);
+        let error = v.error.as_ref().map_or(0, |e| {
+            let expected: usize = e.expected.iter().map(|t| t.len() + 3).sum();
+            ERROR + expected + e.found.as_ref().map_or(0, String::len) + e.message.len()
+        });
+        n + VERDICT + tree + error
+    })
+}
+
+/// Appends `n` as the shim writes a `u64` it holds as `f64`: rounded to
+/// `f64`, then digits up to 2^53 and exponent form past it.
+fn push_u64(out: &mut String, n: u64) {
+    use std::fmt::Write;
+    let f = n as f64;
+    if f <= (1u64 << 53) as f64 {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = f as u64;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        out.push_str(std::str::from_utf8(&digits[at..]).expect("ascii digits"));
+    } else {
+        let _ = write!(out, "{f:e}");
+    }
+}
+
+/// One in every byte lane of a word.
+const LANES_01: u64 = u64::from_ne_bytes([0x01; 8]);
+/// The high bit of every byte lane of a word.
+const LANES_80: u64 = u64::from_ne_bytes([0x80; 8]);
+
+/// Whether any byte of the little-endian word `w` needs a JSON escape:
+/// a control byte below 0x20, `"` or `\`. Each test is the exact "some
+/// byte is zero" (or "below n") word trick, so a word that passes holds
+/// none; which lane set its flag is left to the byte loop.
+fn word_needs_escape(w: u64) -> bool {
+    let below_space = w.wrapping_sub(LANES_01 * 0x20) & !w;
+    let quote = w ^ (LANES_01 * u64::from(b'"'));
+    let backslash = w ^ (LANES_01 * u64::from(b'\\'));
+    let zero_lane = |v: u64| v.wrapping_sub(LANES_01) & !v;
+    (below_space | zero_lane(quote) | zero_lane(backslash)) & LANES_80 != 0
+}
+
+/// Appends `s` as a JSON string literal, byte-identical to the shim's
+/// escaper. Clean bytes are skipped eight at a time and copied in whole
+/// runs; only a word holding a byte to escape is walked byte by byte.
+/// Every such byte is ASCII, so the runs split `s` on char boundaries.
+fn push_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    out.push('"');
+    let mut run = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        if let Some(word) = bytes.get(i..i + 8) {
+            let w = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+            if !word_needs_escape(w) {
+                i += 8;
+                continue;
+            }
+        }
+        let end = (i + 8).min(bytes.len());
+        for (at, &b) in bytes.iter().enumerate().take(end).skip(i) {
+            if !matches!(b, b'"' | b'\\' | 0x00..=0x1f) {
+                continue;
+            }
+            out.push_str(&s[run..at]);
+            match b {
+                b'"' => out.push_str("\\\""),
+                b'\\' => out.push_str("\\\\"),
+                b'\n' => out.push_str("\\n"),
+                b'\r' => out.push_str("\\r"),
+                b'\t' => out.push_str("\\t"),
+                _ => {
+                    out.push_str("\\u00");
+                    out.push(char::from(HEX[usize::from(b >> 4)]));
+                    out.push(char::from(HEX[usize::from(b & 0xf)]));
+                }
+            }
+            run = at + 1;
+        }
+        i = end;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// Encodes a request as one protocol line (no trailing newline).
@@ -926,6 +1078,159 @@ mod tests {
                 .map(<[Value]>::len),
             Some(1)
         );
+    }
+
+    /// A seeded xorshift generator for the property tests below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Pieces that strings under test are made of: every byte the
+    /// escaper rewrites, plain ASCII, and one- to four-byte UTF-8.
+    fn piece(rng: &mut Rng) -> String {
+        match rng.below(6) {
+            0 => char::from(rng.below(0x20) as u8).to_string(),
+            1 => "\"".to_string(),
+            2 => "\\".to_string(),
+            3 => ["é", "€", "😀", "\u{7f}", "\u{80}", "\u{7ff}", "\u{ffff}"][rng.below(7)]
+                .to_string(),
+            _ => "abcdefghijklmnopqrstuvwxyz (NUM)"[..1 + rng.below(31)].to_string(),
+        }
+    }
+
+    /// A string of `rng`-chosen pieces, usually clean, sometimes long.
+    fn text(rng: &mut Rng, max_pieces: usize) -> String {
+        let n = rng.below(max_pieces + 1);
+        let dirty = rng.below(4) == 0;
+        (0..n)
+            .map(|_| {
+                if dirty {
+                    piece(rng)
+                } else {
+                    "(expr term NUM) "[..1 + rng.below(16)].to_string()
+                }
+            })
+            .collect()
+    }
+
+    fn count(rng: &mut Rng) -> u64 {
+        match rng.below(8) {
+            0 => (1 << 53) + rng.next() % 1_000,
+            1 => u64::MAX - rng.next() % 1_000,
+            _ => rng.next() % 100_000,
+        }
+    }
+
+    fn verdict(rng: &mut Rng) -> DocVerdict {
+        use crate::service::DocError;
+        let error = |rng: &mut Rng| DocError {
+            message: text(rng, 4),
+            offset: count(rng),
+            found: (rng.below(2) == 0).then(|| text(rng, 2)),
+            expected: (0..rng.below(6)).map(|_| text(rng, 2)).collect(),
+        };
+        match rng.below(4) {
+            // Accepted, with its tree.
+            0 => DocVerdict {
+                accepted: true,
+                leaves: count(rng),
+                nodes: count(rng),
+                tree: Some(text(rng, 200)),
+                error: None,
+                error_count: 0,
+            },
+            // Rejected, with an `expected` list.
+            1 => DocVerdict {
+                accepted: false,
+                leaves: 0,
+                nodes: 0,
+                tree: None,
+                error: Some(error(rng)),
+                error_count: 1,
+            },
+            // A recovery verdict: a tree and several errors, or neither.
+            2 => DocVerdict {
+                accepted: false,
+                leaves: count(rng),
+                nodes: count(rng),
+                tree: (rng.below(2) == 0).then(|| text(rng, 50)),
+                error: Some(error(rng)),
+                error_count: count(rng).max(1),
+            },
+            // No tree and no error.
+            _ => DocVerdict {
+                accepted: rng.below(2) == 0,
+                leaves: count(rng),
+                nodes: count(rng),
+                tree: None,
+                error: None,
+                error_count: 0,
+            },
+        }
+    }
+
+    #[test]
+    fn direct_parse_writer_matches_the_value_encoder() {
+        for seed in 1..=2_000u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+            let docs = (0..rng.below(9)).map(|_| verdict(&mut rng)).collect();
+            let r = Response::Parse(ParseBatchSummary {
+                fingerprint: text(&mut rng, 2),
+                cached: rng.below(2) == 0,
+                docs,
+            });
+            let expected = response_to_line(&r);
+            let line = response_into_line(r);
+            assert_eq!(line, expected, "seed {seed}");
+            if !line.contains('\\') {
+                assert!(
+                    line.capacity() > line.len(),
+                    "seed {seed}: room for the newline"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn word_escape_matches_the_shim_escaper() {
+        let shim = |s: &str| Value::Str(s.to_string()).to_string();
+        let direct = |s: &str| {
+            let mut out = String::new();
+            push_escaped(&mut out, s);
+            out
+        };
+        let mut specials: Vec<String> = (0u8..0x20).map(|b| char::from(b).to_string()).collect();
+        specials.extend(["\"", "\\", "é", "€", "😀", "\u{7f}"].map(String::from));
+        // Each special byte or char at every offset modulo 8, alone, in
+        // a clean run, and as a neighbour of another special.
+        for special in &specials {
+            for offset in 0..16 {
+                let pad = "x".repeat(offset);
+                for s in [
+                    format!("{pad}{special}"),
+                    format!("{pad}{special}tail-of-the-word"),
+                    format!("{pad}{special}{special}\"{pad}"),
+                ] {
+                    assert_eq!(direct(&s), shim(&s), "{s:?}");
+                }
+            }
+        }
+        for seed in 1..=4_000u64 {
+            let mut rng = Rng(seed.wrapping_mul(0xd134_2543_de82_ef95) | 1);
+            let s: String = (0..rng.below(40)).map(|_| piece(&mut rng)).collect();
+            assert_eq!(direct(&s), shim(&s), "seed {seed}: {s:?}");
+        }
     }
 
     #[test]

@@ -1415,6 +1415,11 @@ impl Inner {
                 (artifact, true)
             }
         };
+        // A table the parser would reduce forever on is refused whole:
+        // one document could otherwise take the process's memory.
+        if let Some(found) = artifact.reduce_loop() {
+            return Err(ServiceError::BadGrammar(found.message(artifact.table())));
+        }
         let parse_started = trace.map(|_| Instant::now());
         self.parse_resolutions.fetch_add(1, Ordering::Relaxed);
         self.parse_batches.fetch_add(1, Ordering::Relaxed);

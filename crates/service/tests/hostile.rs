@@ -380,3 +380,92 @@ fn injected_read_garbage_is_a_bad_request_and_the_connection_survives() {
     daemon.stop();
     daemon.join();
 }
+
+/// Set in the child process that
+/// `a_table_that_reduces_forever_is_refused_and_the_daemon_survives`
+/// starts.
+const REDUCE_LOOP_CHILD: &str = "LALR_HOSTILE_REDUCE_LOOP_CHILD";
+
+/// A parse against a table the parser would reduce forever on gets a
+/// structured error and the daemon keeps serving. The daemon runs in a
+/// child process capped at 1.5 GB of address space, so a daemon that
+/// did reduce forever would abort there, failing this test, rather than
+/// take the host's memory.
+#[test]
+fn a_table_that_reduces_forever_is_refused_and_the_daemon_survives() {
+    if !lalr_net::supported() {
+        return;
+    }
+    if std::env::var_os(REDUCE_LOOP_CHILD).is_some() {
+        return refuse_reduce_loops_in_a_daemon();
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -v 1500000 && exec \"$0\" --exact \"$1\" --nocapture --test-threads 1")
+        .arg(exe)
+        .arg("a_table_that_reduces_forever_is_refused_and_the_daemon_survives")
+        .env(REDUCE_LOOP_CHILD, "1")
+        .output()
+        .expect("run the child test");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "child failed: {stdout}\n{stderr}");
+    assert!(stdout.contains("1 passed"), "{stdout}");
+}
+
+fn refuse_reduce_loops_in_a_daemon() {
+    use lalr_corpus::synthetic::{random, RandomConfig};
+    let daemon = start_daemon();
+    // perfbench's random9: `n6 : n6 ;` reduces forever on `t33`.
+    let random9 = random(
+        9,
+        RandomConfig {
+            nonterminals: 10,
+            terminals: 300,
+            productions: 150,
+            max_rhs: 4,
+            epsilon_prob: 0.1,
+        },
+    )
+    .to_string();
+    // Cycle-free: precedence keeps the empty reduction over shifting "b".
+    let kept_empty = "%left \"b\" %left HIGH s : a s \"c\" | \"b\" ; a : %prec HIGH ;";
+    for (grammar, doc) in [(random9.as_str(), "t33"), (kept_empty, "b c")] {
+        let compile = Request::Compile {
+            grammar: grammar.to_string(),
+            format: GrammarFormat::Native,
+        };
+        let reply = call(&daemon, &compile);
+        assert!(reply.is_ok(), "{}", reply.raw);
+        for recover in [false, true] {
+            let parse = Request::Parse {
+                target: ParseTarget::Text {
+                    grammar: grammar.to_string(),
+                    format: GrammarFormat::Native,
+                },
+                documents: vec![doc.to_string()],
+                recover,
+                sync: Vec::new(),
+            };
+            let reply = call(&daemon, &parse);
+            assert_eq!(reply.error_kind(), Some("bad_grammar"), "{}", reply.raw);
+            let message = reply.error_message().unwrap_or_default();
+            assert!(message.contains("reduces forever"), "{}", reply.raw);
+        }
+    }
+    // Still serving.
+    let parse = Request::Parse {
+        target: ParseTarget::Text {
+            grammar: GRAMMAR.to_string(),
+            format: GrammarFormat::Native,
+        },
+        documents: vec!["x + x".to_string()],
+        recover: false,
+        sync: Vec::new(),
+    };
+    let reply = call(&daemon, &parse);
+    assert!(reply.is_ok(), "{}", reply.raw);
+    daemon.stop();
+    daemon.join();
+}

@@ -1,4 +1,4 @@
-//! The on-disk artifact format, version 3: a versioned header, a
+//! The on-disk artifact format, version 4: a versioned header, a
 //! section directory, and checksummed sections, little-endian
 //! throughout.
 //!
@@ -26,6 +26,10 @@
 //! stored; `lalr_tables::resolutions` recomputes them from the grammar,
 //! whose normalized text is the KEY section.
 //!
+//! META's last two words are where the table makes the parser
+//! reduce forever, as (state, terminal), or `u64::MAX` twice for a table
+//! where every run ends; the compile settles it once.
+//!
 //! The checksum (`file_checksum`) covers every byte of the file, with
 //! the checksum field read as zero, so a torn, truncated, or bit-flipped
 //! file is detected before any section is decoded. [`decode`] then
@@ -40,7 +44,10 @@ use lalr_tables::{Action, CompressedTable, ParseTable, ProductionInfo};
 pub const MAGIC: [u8; 8] = *b"LALRSTOR";
 /// Current format version. Readers reject anything else, so a file from
 /// an older release reads as corrupt and is recompiled and republished.
-pub const FORMAT_VERSION: u32 = 3;
+/// Version 4 adds the reduce-loop words to META, and version 3 records
+/// hold the symbol names of grammar readers that mangled non-ASCII
+/// names (`é` read as `Ã©`).
+pub const FORMAT_VERSION: u32 = 4;
 /// Fixed header size.
 pub const HEADER_LEN: usize = 64;
 
@@ -53,6 +60,8 @@ const ACTION_ENTRY_LEN: usize = 16;
 const GOTO_ENTRY_LEN: usize = 8;
 /// An absent dense GOTO cell (see [`ParseTable::gotos_raw`]).
 const NO_GOTO: u32 = u32::MAX;
+/// META's reduce-loop words for a table without one.
+const NO_LOOP: u64 = u64::MAX;
 
 /// Section kinds (the `kind` field of a section-table entry).
 mod kind {
@@ -96,6 +105,10 @@ pub struct ArtifactRecord {
     pub table: ParseTable,
     /// The row-compressed table.
     pub compressed: CompressedTable,
+    /// Where the table makes the parser reduce forever, as
+    /// (state, look-ahead terminal), found at compile time; a parse
+    /// against such a table is refused.
+    pub reduce_loop: Option<(u32, u32)>,
 }
 
 /// Byte offset of the checksum field inside the header.
@@ -268,6 +281,11 @@ pub fn encode(record: &ArtifactRecord) -> Vec<u8> {
         meta.u64(d.max_scc_size as u64);
         meta.u64(d.cyclic_nodes as u64);
     }
+    let (loop_state, loop_terminal) = record
+        .reduce_loop
+        .map_or((NO_LOOP, NO_LOOP), |(s, t)| (u64::from(s), u64::from(t)));
+    meta.u64(loop_state);
+    meta.u64(loop_terminal);
     sections.push((kind::META, meta.buf));
 
     let states = table.state_count() as usize;
@@ -671,6 +689,13 @@ pub fn decode(bytes: &[u8]) -> Result<ArtifactRecord, FormatError> {
     };
     let reads = digraph(&mut m)?;
     let includes = digraph(&mut m)?;
+    let reduce_loop = match (m.u64()?, m.u64()?) {
+        (NO_LOOP, NO_LOOP) => None,
+        (state, terminal) if state < states as u64 && terminal < terminals as u64 => {
+            Some((state as u32, terminal as u32))
+        }
+        _ => return err("reduce loop out of range"),
+    };
 
     // Everything whose length a count in the file sets is bounded by its
     // own section's bytes (`Reader::count`); the names also pin
@@ -801,6 +826,7 @@ pub fn decode(bytes: &[u8]) -> Result<ArtifactRecord, FormatError> {
         includes,
         table,
         compressed,
+        reduce_loop,
     })
 }
 
@@ -856,6 +882,7 @@ pub(crate) mod tests {
             },
             table,
             compressed,
+            reduce_loop: None,
         }
     }
 
@@ -916,6 +943,12 @@ pub(crate) mod tests {
         let bytes = encode(&rec);
         let back = decode(&bytes).unwrap();
         assert_eq!(back, rec);
+        // A reduce loop round-trips; one outside the table is corrupt.
+        let mut looping = rec.clone();
+        looping.reduce_loop = Some((rec.states - 1, rec.terminals - 1));
+        assert_eq!(decode(&encode(&looping)).unwrap(), looping);
+        looping.reduce_loop = Some((rec.states, 0));
+        assert!(decode(&encode(&looping)).is_err());
 
         // Every corpus grammar, and the two largest synthetic families
         // the store sees.
