@@ -413,28 +413,17 @@ fn cmd_sentences(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Runs a case file: each non-comment line is `+ tokens…` (must accept)
-/// or `- tokens…` (must reject); tokens are whitespace-separated terminal
-/// names. Exit is nonzero when any case fails.
 /// Refuses a table on which the parser would reduce forever.
-fn refuse_reduce_loop(
-    grammar: &Grammar,
-    lr0: &Lr0Automaton,
-    table: &lalr_tables::ParseTable,
-) -> Result<(), CliError> {
-    let gotos = lr0
-        .nt_transitions()
-        .iter()
-        .map(|t| (t.from.index(), t.nt, t.to.index()));
-    if !lalr_runtime::may_reduce_forever(grammar, lr0.state_count(), gotos) {
-        return Ok(());
-    }
-    match lalr_runtime::reduce_loop(table) {
+fn refuse_reduce_loop(grammar: &Grammar, table: &lalr_tables::ParseTable) -> Result<(), CliError> {
+    match lalr_runtime::reduce_loop(grammar, table) {
         Some(found) => Err(fail(found.message(table))),
         None => Ok(()),
     }
 }
 
+/// Runs a case file: each non-comment line is `+ tokens…` (must accept)
+/// or `- tokens…` (must reject); tokens are whitespace-separated terminal
+/// names. Exit is nonzero when any case fails.
 fn cmd_check(args: &[String]) -> Result<String, CliError> {
     let name = grammar_arg(args, "check")?;
     let grammar = load_grammar(name)?;
@@ -452,7 +441,7 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
         analysis.lookaheads(),
         TableOptions::default(),
     );
-    refuse_reduce_loop(&grammar, &lr0, &table)?;
+    refuse_reduce_loop(&grammar, &table)?;
     let parser = Parser::new(&table);
     let names = lalr_runtime::terminal_index(&table);
 
@@ -562,7 +551,7 @@ fn cmd_parse(args: &[String]) -> Result<String, CliError> {
         TableOptions::default(),
     );
 
-    refuse_reduce_loop(&grammar, &lr0, &table)?;
+    refuse_reduce_loop(&grammar, &table)?;
     let mut builder = Lexer::for_table(&table);
     for (flag, terminal) in classes {
         builder = match flag {

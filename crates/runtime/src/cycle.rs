@@ -6,9 +6,9 @@
 //! lands back in the state it left), and so does a reduction of an empty
 //! production kept over a shift by precedence where the goto leads back
 //! to the same state (`s : a s "c" | "b" ; a : %prec HIGH ;`): the stack
-//! then grows by one state per reduction. [`may_reduce_forever`] clears
-//! nearly every grammar from its rules, and [`reduce_loop`] searches the
-//! table of any other, once, so the parser's steps carry no counter.
+//! then grows by one state per reduction. [`reduce_loop`] clears nearly
+//! every grammar from its rules and searches the table of any other,
+//! once, so the parser's steps carry no counter.
 //!
 //! The search rests on one fact about a reduce-only run on a fixed
 //! look-ahead: what happens above a state `q` that is not popped depends
@@ -19,7 +19,7 @@
 //! state recurs inside its own run). Both show up as a node met again
 //! while it is still being resolved.
 
-use lalr_grammar::{Grammar, NonTerminal, Symbol};
+use lalr_grammar::{Grammar, Symbol};
 use lalr_tables::{Action, ParseTable};
 
 /// Where the parser reduces forever: with `state` on top of the stack
@@ -59,50 +59,25 @@ enum Outcome {
 }
 
 /// Finds a state and look-ahead from which [`crate::Parser`] would
-/// reduce forever, or `None` when every run on every look-ahead ends.
-/// A forward pass finds the (state, look-ahead) pairs a run can have on
-/// top, then each reduction in such a pair starts a memoized search of
-/// the run it begins. It reads every ACTION cell, so callers that have
-/// the grammar ask [`may_reduce_forever`] first, which clears nearly
-/// every grammar without reading the table.
-pub fn reduce_loop(table: &ParseTable) -> Option<ReduceLoop> {
-    let mut exposed = Exposed::new(table);
-    let reachable = exposed.reachable_tops();
-    let mut search = Search::new(table);
-    let terminals = table.terminal_count() as usize;
-    for terminal in 0..table.terminal_count() {
-        search.start_terminal(terminal);
-        for state in 0..table.state_count() {
-            if !reachable[state as usize * terminals + terminal as usize] {
-                continue;
-            }
-            let Action::Reduce(prod) = table.action(state, terminal) else {
-                continue;
-            };
-            // An empty reduction nests a run above `state`; any other
-            // starts a run above each state it can expose.
-            for &node in exposed.nodes(state, prod) {
-                if search.resolve(node) == Outcome::Loop {
-                    return Some(ReduceLoop { state, terminal });
-                }
-            }
-        }
+/// reduce forever on `table`, built from `grammar`, or `None` when every
+/// run on every look-ahead ends, plain or recovering. The grammar's
+/// rules clear nearly every table without reading ACTION; any other is
+/// searched.
+pub fn reduce_loop(grammar: &Grammar, table: &ParseTable) -> Option<ReduceLoop> {
+    if may_reduce_forever(grammar, table) {
+        find_loop(table)
+    } else {
+        None
     }
-    None
 }
 
-/// Whether a table built from `grammar`, whose automaton has `states`
-/// states and the goto transitions `gotos` as `(from, nonterminal, to)`,
-/// can make the parser reduce forever; `false` settles it without
-/// [`reduce_loop`]. A run reduces forever only at one level, which needs
-/// a derivation cycle `A ⇒+ A`, or by nesting forever, which pushes a
-/// cycle of gotos on nullable nonterminals. Linear in the grammar and
-/// the gotos.
-pub fn may_reduce_forever(
-    grammar: &Grammar,
-    states: usize,
-    gotos: impl IntoIterator<Item = (usize, NonTerminal, usize)>,
-) -> bool {
+/// Whether `table`, built from `grammar`, can make the parser reduce
+/// forever; `false` settles it without reading ACTION. A run reduces
+/// forever only at one level, which needs a derivation cycle `A ⇒+ A`,
+/// or by nesting forever, which pushes a cycle of gotos on nullable
+/// nonterminals. Linear in the grammar and in the GOTO cells of its
+/// nullable nonterminals.
+fn may_reduce_forever(grammar: &Grammar, table: &ParseTable) -> bool {
     let nullable = lalr_grammar::analysis::nullable(grammar);
     // `A ⇒ B` when `A → α B β` with `α` and `β` nullable.
     let mut derives = vec![Vec::new(); grammar.nonterminal_count()];
@@ -123,13 +98,43 @@ pub fn may_reduce_forever(
     if has_cycle(&derives) {
         return true;
     }
-    let mut nullable_gotos = vec![Vec::new(); states];
-    for (from, b, to) in gotos {
-        if nullable.contains(b) {
-            nullable_gotos[from].push(to);
+    let mut nullable_gotos = vec![Vec::new(); table.state_count() as usize];
+    for b in nullable.iter() {
+        for (from, gotos) in nullable_gotos.iter_mut().enumerate() {
+            if let Some(to) = table.goto(from as u32, b.index() as u32) {
+                gotos.push(to as usize);
+            }
         }
     }
     has_cycle(&nullable_gotos)
+}
+
+/// The search behind [`reduce_loop`], which reads every ACTION cell. A
+/// forward pass finds the states the parser can ever push; each
+/// reduction in such a state, on any look-ahead, then starts a memoized
+/// search of the run it begins. Any look-ahead, because panic-mode
+/// recovery resumes with any stacked state on top and any of the
+/// caller's sync terminals next.
+fn find_loop(table: &ParseTable) -> Option<ReduceLoop> {
+    let mut exposed = Exposed::new(table);
+    let pushed = exposed.pushable();
+    let mut search = Search::new(table);
+    for terminal in 0..table.terminal_count() {
+        search.start_terminal(terminal);
+        for state in (0..table.state_count()).filter(|&s| pushed[s as usize]) {
+            let Action::Reduce(prod) = table.action(state, terminal) else {
+                continue;
+            };
+            // An empty reduction nests a run above `state`; any other
+            // starts a run above each state it can expose.
+            for &node in exposed.nodes(state, prod) {
+                if search.resolve(node) == Outcome::Loop {
+                    return Some(ReduceLoop { state, terminal });
+                }
+            }
+        }
+    }
+    None
 }
 
 /// Whether the graph given as adjacency lists has a cycle (an iterative
@@ -253,47 +258,37 @@ impl<'t> Exposed<'t> {
         &self.cache[&(state, prod)]
     }
 
-    /// Which (state, look-ahead) pairs a run can have on top, one flag
-    /// per pair, state-major: the start state with any look-ahead, a
-    /// shift's target with any, and a reduction's goto with the
-    /// look-ahead it reduced on.
-    fn reachable_tops(&mut self) -> Vec<bool> {
+    /// Which states the parser can ever push, one flag per state: the
+    /// start state, and the shift and goto targets out of each such
+    /// state on every look-ahead. States that only losing actions lead
+    /// to stay clear, and so do their loops.
+    fn pushable(&mut self) -> Vec<bool> {
         let table = self.table;
-        let terminals = table.terminal_count();
         let n = table.nonterminal_count() as usize;
-        let mut top = vec![false; table.state_count() as usize * terminals as usize];
-        let mut work = Vec::new();
-        let mark = |top: &mut Vec<bool>, work: &mut Vec<(u32, u32)>, s: u32, t: u32| {
-            let at = s as usize * terminals as usize + t as usize;
-            if !top[at] {
-                top[at] = true;
-                work.push((s, t));
-            }
-        };
-        let mut any_lookahead = vec![false; table.state_count() as usize];
-        any_lookahead[0] = true;
-        for t in 0..terminals {
-            mark(&mut top, &mut work, 0, t);
-        }
-        while let Some((s, t)) = work.pop() {
-            match table.action(s, t) {
-                Action::Shift(next) if !any_lookahead[next as usize] => {
-                    any_lookahead[next as usize] = true;
-                    for t in 0..terminals {
-                        mark(&mut top, &mut work, next, t);
+        let mut pushed = vec![false; table.state_count() as usize];
+        pushed[0] = true;
+        let mut work = vec![0];
+        while let Some(s) = work.pop() {
+            for t in 0..table.terminal_count() {
+                let mut push = |next: u32| {
+                    if !pushed[next as usize] {
+                        pushed[next as usize] = true;
+                        work.push(next);
                     }
-                }
-                Action::Reduce(prod) => {
-                    for &node in self.nodes(s, prod) {
-                        let (q, lhs) = ((node / n) as u32, (node % n) as u32);
-                        let goto = table.goto(q, lhs).expect("nodes have gotos");
-                        mark(&mut top, &mut work, goto, t);
+                };
+                match table.action(s, t) {
+                    Action::Shift(next) => push(next),
+                    Action::Reduce(prod) => {
+                        for &node in self.nodes(s, prod) {
+                            let (q, lhs) = ((node / n) as u32, (node % n) as u32);
+                            push(table.goto(q, lhs).expect("nodes have gotos"));
+                        }
                     }
+                    _ => {}
                 }
-                _ => {}
             }
         }
-        top
+        pushed
     }
 }
 
@@ -459,5 +454,54 @@ impl<'t> Search<'t> {
         self.marks[frame.node] = 2 * self.generation + 1;
         self.outcomes[frame.node] = outcome;
         outcome
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lalr_automata::Lr0Automaton;
+    use lalr_core::LalrAnalysis;
+    use lalr_corpus::synthetic::{random, RandomConfig};
+    use lalr_tables::{build_table, TableOptions};
+
+    fn table_of(g: &Grammar) -> ParseTable {
+        let lr0 = Lr0Automaton::build(g);
+        let la = LalrAnalysis::compute(g, &lr0).into_lookaheads();
+        build_table(g, &lr0, &la, TableOptions::default())
+    }
+
+    #[test]
+    fn corpus_tables_are_searched_clear() {
+        for entry in lalr_corpus::all_entries() {
+            let grammar = entry.grammar();
+            let table = table_of(&grammar);
+            assert_eq!(find_loop(&table), None, "{}", entry.name);
+            // Only the grammar whose nullable rules form a cycle gets past
+            // the grammar's rules.
+            let past = may_reduce_forever(&grammar, &table);
+            assert_eq!(past, entry.name == "reads_cycle", "{}", entry.name);
+        }
+    }
+
+    #[test]
+    fn the_grammar_never_clears_a_table_the_search_names() {
+        let mut named = 0;
+        for seed in 0..400u64 {
+            let config = RandomConfig {
+                nonterminals: 2 + (seed % 5) as usize,
+                terminals: 2 + (seed % 3) as usize,
+                productions: 4 + (seed % 9) as usize,
+                max_rhs: 3,
+                epsilon_prob: 0.3,
+            };
+            let grammar = random(seed, config);
+            let table = table_of(&grammar);
+            if find_loop(&table).is_some() {
+                named += 1;
+                assert!(may_reduce_forever(&grammar, &table), "seed {seed}");
+            }
+        }
+        assert!(named > 10, "{named} tables named");
     }
 }

@@ -46,7 +46,7 @@ mod parser;
 mod token;
 mod tree;
 
-pub use cycle::{may_reduce_forever, reduce_loop, ReduceLoop};
+pub use cycle::{reduce_loop, ReduceLoop};
 pub use error::{LexError, ParseError};
 pub use lexer::{terminal_index, Lexer, LexerBuilder};
 pub use parser::{ActionSource, CompressedSource, Parser};

@@ -150,13 +150,7 @@ impl CompiledArtifact {
         };
         // Whether the parser can reduce forever on this table is settled
         // once, here; the grammar rules nearly every table out unread.
-        let gotos = lr0
-            .nt_transitions()
-            .iter()
-            .map(|t| (t.from.index(), t.nt, t.to.index()));
-        let reduce_loop = lalr_runtime::may_reduce_forever(&grammar, lr0.state_count(), gotos)
-            .then(|| lalr_runtime::reduce_loop(&table))
-            .flatten();
+        let reduce_loop = lalr_runtime::reduce_loop(&grammar, &table);
         let mut artifact = CompiledArtifact {
             fingerprint,
             states: lr0.state_count(),
@@ -330,9 +324,8 @@ impl CompiledArtifact {
     }
 
     /// Where the table would make the parser reduce forever, if anywhere
-    /// ([`lalr_runtime::reduce_loop`], searched at compile time only when
-    /// [`lalr_runtime::may_reduce_forever`] allows it, and stored with the
-    /// artifact). The parse op refuses such a table.
+    /// ([`lalr_runtime::reduce_loop`], settled at compile time and stored
+    /// with the artifact). The parse op refuses such a table.
     pub fn reduce_loop(&self) -> Option<ReduceLoop> {
         self.reduce_loop
     }

@@ -732,62 +732,32 @@ fn push_u64(out: &mut String, n: u64) {
     }
 }
 
-/// One in every byte lane of a word.
-const LANES_01: u64 = u64::from_ne_bytes([0x01; 8]);
-/// The high bit of every byte lane of a word.
-const LANES_80: u64 = u64::from_ne_bytes([0x80; 8]);
-
-/// Whether any byte of the little-endian word `w` needs a JSON escape:
-/// a control byte below 0x20, `"` or `\`. Each test is the exact "some
-/// byte is zero" (or "below n") word trick, so a word that passes holds
-/// none; which lane set its flag is left to the byte loop.
-fn word_needs_escape(w: u64) -> bool {
-    let below_space = w.wrapping_sub(LANES_01 * 0x20) & !w;
-    let quote = w ^ (LANES_01 * u64::from(b'"'));
-    let backslash = w ^ (LANES_01 * u64::from(b'\\'));
-    let zero_lane = |v: u64| v.wrapping_sub(LANES_01) & !v;
-    (below_space | zero_lane(quote) | zero_lane(backslash)) & LANES_80 != 0
-}
-
 /// Appends `s` as a JSON string literal, byte-identical to the shim's
-/// escaper. Clean bytes are skipped eight at a time and copied in whole
-/// runs; only a word holding a byte to escape is walked byte by byte.
-/// Every such byte is ASCII, so the runs split `s` on char boundaries.
+/// escaper: each run of bytes that needs no escape is copied whole.
+/// Every byte that needs one is ASCII, so the runs split `s` on char
+/// boundaries.
 fn push_escaped(out: &mut String, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
-    let bytes = s.as_bytes();
     out.push('"');
     let mut run = 0;
-    let mut i = 0;
-    while i < bytes.len() {
-        if let Some(word) = bytes.get(i..i + 8) {
-            let w = u64::from_le_bytes(word.try_into().expect("eight bytes"));
-            if !word_needs_escape(w) {
-                i += 8;
-                continue;
+    for (at, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0x00..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..at]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
         }
-        let end = (i + 8).min(bytes.len());
-        for (at, &b) in bytes.iter().enumerate().take(end).skip(i) {
-            if !matches!(b, b'"' | b'\\' | 0x00..=0x1f) {
-                continue;
-            }
-            out.push_str(&s[run..at]);
-            match b {
-                b'"' => out.push_str("\\\""),
-                b'\\' => out.push_str("\\\\"),
-                b'\n' => out.push_str("\\n"),
-                b'\r' => out.push_str("\\r"),
-                b'\t' => out.push_str("\\t"),
-                _ => {
-                    out.push_str("\\u00");
-                    out.push(char::from(HEX[usize::from(b >> 4)]));
-                    out.push(char::from(HEX[usize::from(b & 0xf)]));
-                }
-            }
-            run = at + 1;
-        }
-        i = end;
+        run = at + 1;
     }
     out.push_str(&s[run..]);
     out.push('"');
@@ -1203,7 +1173,7 @@ mod tests {
     }
 
     #[test]
-    fn word_escape_matches_the_shim_escaper() {
+    fn escape_matches_the_shim_escaper() {
         let shim = |s: &str| Value::Str(s.to_string()).to_string();
         let direct = |s: &str| {
             let mut out = String::new();
@@ -1212,8 +1182,8 @@ mod tests {
         };
         let mut specials: Vec<String> = (0u8..0x20).map(|b| char::from(b).to_string()).collect();
         specials.extend(["\"", "\\", "é", "€", "😀", "\u{7f}"].map(String::from));
-        // Each special byte or char at every offset modulo 8, alone, in
-        // a clean run, and as a neighbour of another special.
+        // Each special byte or char after clean runs of every length up
+        // to 15, alone, before a clean run, and next to another special.
         for special in &specials {
             for offset in 0..16 {
                 let pad = "x".repeat(offset);

@@ -431,7 +431,16 @@ fn refuse_reduce_loops_in_a_daemon() {
     .to_string();
     // Cycle-free: precedence keeps the empty reduction over shifting "b".
     let kept_empty = "%left \"b\" %left HIGH s : a s \"c\" | \"b\" ; a : %prec HIGH ;";
-    for (grammar, doc) in [(random9.as_str(), "t33"), (kept_empty, "b c")] {
+    // Only recovery reaches the loop: "u v u t" errs at the second "u",
+    // pops back to the state that shifted "v", skips to "t", and would
+    // reduce `n : n` there forever.
+    let recovery_only =
+        "%start s0 n : n | \"u\" ; s0 : z \"t\" | w | y ; z : n ; w : n \"v\" ; y : \"u\" \"t\" ;";
+    for (grammar, doc, sync) in [
+        (random9.as_str(), "t33", &[][..]),
+        (kept_empty, "b c", &[]),
+        (recovery_only, "u v u t", &["v", "t"]),
+    ] {
         let compile = Request::Compile {
             grammar: grammar.to_string(),
             format: GrammarFormat::Native,
@@ -446,7 +455,7 @@ fn refuse_reduce_loops_in_a_daemon() {
                 },
                 documents: vec![doc.to_string()],
                 recover,
-                sync: Vec::new(),
+                sync: sync.iter().map(|t| t.to_string()).collect(),
             };
             let reply = call(&daemon, &parse);
             assert_eq!(reply.error_kind(), Some("bad_grammar"), "{}", reply.raw);
